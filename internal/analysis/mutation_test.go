@@ -54,12 +54,15 @@ func TestMutationDroppedFromDB(t *testing.T) {
 }
 
 // TestMutationOrphanStream: replacing the seeded root with new(rng.Stream)
-// orphans the simulation's RNG; seedflow alone must catch it.
+// orphans the topology study's RNG; seedflow alone must catch it. The file
+// type-checks standalone with shims for the two identifiers it borrows from
+// sibling files of its package.
 func TestMutationOrphanStream(t *testing.T) {
-	src := mutate(t, "../packetsim/packetsim.go",
-		"root := rng.New(opts.Seed)",
+	src := mutate(t, "../experiments/topology.go",
+		"root := rng.New(seed)",
 		"root := new(rng.Stream)")
-	diags := suiteOnSource(t, "femtocr/internal/packetsimmut", "packetsimmut.go", src, All())
+	src += "\nvar ErrBadParams error\n\nfunc runGrid(n, workers int, do func(i int) error) error { return nil }\n"
+	diags := suiteOnSource(t, "femtocr/internal/topologymut", "topologymut.go", src, All())
 	assertSingleFinding(t, diags, "seedflow", "orphan rng.Stream")
 }
 

@@ -9,10 +9,10 @@ package core
 //
 // Since femtovet v3 the same contract is checked statically: the hotpath
 // analyzer flags allocation-causing constructs reachable from the
-// //femtovet:hotpath roots at vet time, and scripts/escape_check.sh diffs
-// the compiler's -gcflags=-m output. These AllocsPerRun pins remain the
-// runtime backstop for whatever escape analysis the static checks cannot
-// see (interface dispatch, closure escapes the flow tracker misses).
+// //femtovet:hotpath roots at vet time. These AllocsPerRun pins (with the
+// slot-step pins in internal/sim/alloc_test.go) remain the runtime
+// backstop for whatever escape analysis the static check cannot see
+// (interface dispatch, closure escapes the flow tracker misses).
 
 import (
 	"testing"
@@ -44,16 +44,12 @@ func TestSolveIntoSteadyStateAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			is, ok := tc.solver.(IntoSolver)
-			if !ok {
-				t.Fatalf("%T does not implement IntoSolver", tc.solver)
-			}
 			out := NewAllocation(in.K())
-			if err := is.SolveInto(in, out); err != nil { // warm the pool
+			if err := tc.solver.SolveInto(in, out); err != nil { // warm the pool
 				t.Fatal(err)
 			}
 			avg := testing.AllocsPerRun(50, func() {
-				if err := is.SolveInto(in, out); err != nil {
+				if err := tc.solver.SolveInto(in, out); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -26,7 +26,6 @@ type DualSolver struct {
 
 var (
 	_ Solver     = (*DualSolver)(nil)
-	_ IntoSolver = (*DualSolver)(nil)
 	_ WarmSolver = (*DualSolver)(nil)
 )
 

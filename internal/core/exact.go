@@ -16,10 +16,7 @@ type BruteForceSolver struct {
 	MaxUsers int
 }
 
-var (
-	_ Solver     = (*BruteForceSolver)(nil)
-	_ IntoSolver = (*BruteForceSolver)(nil)
-)
+var _ Solver = (*BruteForceSolver)(nil)
 
 // Name identifies the scheme.
 func (b *BruteForceSolver) Name() string { return "Optimal" }
@@ -96,7 +93,6 @@ type EquilibriumSolver struct {
 
 var (
 	_ Solver     = (*EquilibriumSolver)(nil)
-	_ IntoSolver = (*EquilibriumSolver)(nil)
 	_ WarmSolver = (*EquilibriumSolver)(nil)
 )
 

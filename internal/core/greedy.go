@@ -227,10 +227,8 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	inst.G = res.G
 	if r.eq != nil {
 		err = r.eq.solveIntoWS(inst, final, ws)
-	} else if is, ok := g.solver.(IntoSolver); ok {
-		err = is.SolveInto(inst, final)
 	} else {
-		final, err = g.solver.Solve(inst)
+		err = g.solver.SolveInto(inst, final)
 	}
 	if err != nil {
 		return nil, err
@@ -250,23 +248,16 @@ func (g *GreedyAllocator) q(r *greedyRun, gvec []float64) (float64, error) {
 	inst := &r.ws.qInstance
 	*inst = *r.p.Base
 	inst.G = gvec
+	var err error
 	if r.eq != nil {
-		if err := r.eq.solveIntoWS(inst, &r.ws.qAlloc, r.ws); err != nil {
-			return 0, err
-		}
-		return objectiveCached(inst, &r.ws.qAlloc, r.ws.logW), nil
+		err = r.eq.solveIntoWS(inst, &r.ws.qAlloc, r.ws)
+	} else {
+		err = g.solver.SolveInto(inst, &r.ws.qAlloc)
 	}
-	if is, ok := g.solver.(IntoSolver); ok {
-		if err := is.SolveInto(inst, &r.ws.qAlloc); err != nil {
-			return 0, err
-		}
-		return objectiveCached(inst, &r.ws.qAlloc, r.ws.logW), nil
-	}
-	alloc, err := g.solver.Solve(inst)
 	if err != nil {
 		return 0, err
 	}
-	return objectiveCached(inst, alloc, r.ws.logW), nil
+	return objectiveCached(inst, &r.ws.qAlloc, r.ws.logW), nil
 }
 
 // gainOf returns the marginal gain of allocating candidate idx on top of the

@@ -7,10 +7,7 @@ package core
 // coordination across users.
 type Heuristic1 struct{}
 
-var (
-	_ Solver     = Heuristic1{}
-	_ IntoSolver = Heuristic1{}
-)
+var _ Solver = Heuristic1{}
 
 // Name identifies the scheme.
 func (Heuristic1) Name() string { return "Heuristic 1" }
@@ -79,10 +76,7 @@ func (Heuristic1) solveInto(in *Instance, alloc *Allocation) {
 // globally by the base stations rather than locally by users.
 type Heuristic2 struct{}
 
-var (
-	_ Solver     = Heuristic2{}
-	_ IntoSolver = Heuristic2{}
-)
+var _ Solver = Heuristic2{}
 
 // Name identifies the scheme.
 func (Heuristic2) Name() string { return "Heuristic 2" }

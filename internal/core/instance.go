@@ -271,6 +271,12 @@ type Solver interface {
 	// Solve returns a feasible allocation. Implementations must not retain
 	// or mutate the instance.
 	Solve(in *Instance) (*Allocation, error)
+	// SolveInto writes the allocation into a caller-owned buffer, letting
+	// per-slot callers (the simulation engine, the greedy allocator's Q
+	// evaluations) reuse one Allocation instead of allocating a fresh one
+	// per solve. The buffer is resized and zeroed; any previous contents
+	// are discarded.
+	SolveInto(in *Instance, out *Allocation) error
 	// Name identifies the scheme in experiment output.
 	Name() string
 }

@@ -10,10 +10,7 @@ package core
 // shares.
 type MaxThroughput struct{}
 
-var (
-	_ Solver     = MaxThroughput{}
-	_ IntoSolver = MaxThroughput{}
-)
+var _ Solver = MaxThroughput{}
 
 // Name identifies the scheme.
 func (MaxThroughput) Name() string { return "Max throughput" }

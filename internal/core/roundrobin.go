@@ -13,10 +13,7 @@ type RoundRobin struct {
 	counter int
 }
 
-var (
-	_ Solver     = (*RoundRobin)(nil)
-	_ IntoSolver = (*RoundRobin)(nil)
-)
+var _ Solver = (*RoundRobin)(nil)
 
 // Name identifies the scheme.
 func (r *RoundRobin) Name() string { return "Round robin" }

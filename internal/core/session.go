@@ -257,6 +257,6 @@ func (s *SolverSession) storeLambda(lambda, scale []float64, tau int, coldStart 
 // one whose seeding is disabled) degrades to the cold SolveInto path with
 // statistics recording.
 type WarmSolver interface {
-	IntoSolver
+	Solver
 	SolveWarmInto(in *Instance, out *Allocation, sess *SolverSession) error
 }

@@ -322,13 +322,3 @@ func feasibleCached(in *Instance, a *Allocation, ws *solveWorkspace, tol float64
 	}
 	return nil
 }
-
-// IntoSolver is implemented by solvers that can write the allocation into a
-// caller-owned buffer, letting per-slot callers (the simulation engine, the
-// greedy allocator's Q evaluations) reuse one Allocation instead of
-// allocating a fresh one per solve. The buffer is resized and zeroed; any
-// previous contents are discarded.
-type IntoSolver interface {
-	Solver
-	SolveInto(in *Instance, out *Allocation) error
-}

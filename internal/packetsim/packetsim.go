@@ -1,26 +1,27 @@
-// Package packetsim is the packet-level counterpart of internal/sim: the
-// same sensing/access front half and the same resource-allocation schemes,
-// but with explicit NAL-unit transmission queues, ARQ retransmissions, and
-// deadline discards, per the paper's §III-E delivery discipline ("video
-// packets are transmitted in the decreasing order of their significances,
-// with retransmissions if necessary; overdue packets will be discarded").
+// Package packetsim is the packet-level delivery back-end of the slot
+// engine in internal/sim. The engine runs the same sensing/access front
+// half, the same allocation schemes and the same fading draws as sim.Run;
+// this package only changes what a transmitted share becomes: explicit
+// NAL-unit transmission queues, ARQ retransmissions, and deadline discards,
+// per the paper's §III-E delivery discipline ("video packets are
+// transmitted in the decreasing order of their significances, with
+// retransmissions if necessary; overdue packets will be discarded").
 //
-// The rate-based engine in internal/sim credits expected quality increments
-// directly; this engine moves bytes. The two agree on scheme ordering and
-// track each other's quality closely, which the integration tests assert.
+// The default rate accounting of internal/sim credits expected quality
+// increments directly; this back-end moves bytes. The two agree on scheme
+// ordering and track each other's quality closely, which the integration
+// tests assert.
 package packetsim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
-	"femtocr/internal/core"
 	"femtocr/internal/netmodel"
 	"femtocr/internal/packet"
-	"femtocr/internal/rng"
 	"femtocr/internal/sensing"
 	"femtocr/internal/sim"
-	"femtocr/internal/stats"
 	"femtocr/internal/video"
 )
 
@@ -106,53 +107,51 @@ func Run(net *netmodel.Network, opts Options) (*Result, error) {
 	if opts.GOPs < 1 {
 		return nil, fmt.Errorf("%w: GOPs=%d", ErrBadOptions, opts.GOPs)
 	}
-	if opts.EncodeRateFactor < 0 {
-		return nil, fmt.Errorf("%w: EncodeRateFactor=%v", ErrBadOptions, opts.EncodeRateFactor)
+	if f := opts.EncodeRateFactor; f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("%w: EncodeRateFactor=%v", ErrBadOptions, f)
 	}
 
-	root := rng.New(opts.Seed)
-	front, err := sim.NewFrontend(net, root, opts.SensorPolicy)
+	d, err := newDelivery(net, opts)
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{
-		net:        net,
-		opts:       opts,
-		front:      front,
-		fadeStream: root.Split("fading"),
+	res, err := sim.RunDelivery(net, sim.Options{
+		Seed:         opts.Seed,
+		GOPs:         opts.GOPs,
+		Scheme:       opts.Scheme,
+		SensorPolicy: opts.SensorPolicy,
+	}, d)
+	if errors.Is(err, sim.ErrBadOptions) {
+		return nil, fmt.Errorf("%w: %w", ErrBadOptions, err)
 	}
-	if err := e.init(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	totalSlots := opts.GOPs * net.T
-	for slot := 0; slot < totalSlots; slot++ {
-		if err := e.step(slot); err != nil {
-			return nil, fmt.Errorf("slot %d: %w", slot, err)
-		}
+	out := &Result{
+		PerUserPSNR:     res.PerUserPSNR,
+		MeanPSNR:        res.MeanPSNR,
+		DeliveredBytes:  d.dBytes,
+		Retransmissions: d.retrans,
+		SentPackets:     d.sent,
+		FairnessIndex:   res.FairnessIndex,
+		CollisionRate:   res.CollisionRate,
+		GOPs:            res.GOPs,
 	}
-	return e.result(), nil
+	for _, q := range d.queues {
+		out.DroppedPackets += q.Dropped()
+	}
+	return out, nil
 }
 
-type engine struct {
+// delivery is the packet back-end (sim.Delivery): per-user transmission
+// queues filled a GOP at a time and the receivers that decode them.
+type delivery struct {
 	net  *netmodel.Network
 	opts Options
 
-	front      *sim.Frontend
-	fadeStream *rng.Stream
-
 	queues    []*packet.Queue
 	receivers []*packet.Receiver
-	gops      []video.GOP // the (static) encoded GOP layout per user
-
-	solver      core.Solver
-	greedy      *core.GreedyAllocator
-	interfering bool
-	colorOf     []int
-	numColors   int
-
-	// Static per-user optimizer constants.
-	r0, r1, ps0, ps1, wmax []float64
-	fbsOf                  []int
+	gops      []video.GOP // the encoded layout of each user's next GOP
 
 	// Slot duration in seconds: GOP playout time divided by the deadline T.
 	slotSeconds float64
@@ -168,248 +167,117 @@ type engine struct {
 	ewmaRate []float64
 }
 
-func (e *engine) init() error {
-	net := e.net
+func newDelivery(net *netmodel.Network, opts Options) (*delivery, error) {
 	k := net.K()
-	e.queues = make([]*packet.Queue, k)
-	e.receivers = make([]*packet.Receiver, k)
-	e.gops = make([]video.GOP, k)
-	e.r0 = make([]float64, k)
-	e.r1 = make([]float64, k)
-	e.ps0 = make([]float64, k)
-	e.ps1 = make([]float64, k)
-	e.wmax = make([]float64, k)
-	e.fbsOf = make([]int, k)
-
+	d := &delivery{
+		net:       net,
+		opts:      opts,
+		queues:    make([]*packet.Queue, k),
+		receivers: make([]*packet.Receiver, k),
+		gops:      make([]video.GOP, k),
+		gopBytes:  make([]int, k),
+		ewmaRate:  make([]float64, k),
+	}
 	for j, u := range net.Users {
-		e.queues[j] = &packet.Queue{}
-		e.receivers[j] = packet.NewReceiver(u.Seq)
-		g, err := video.BuildGOP(u.Seq, net.GOPSize, e.opts.MGSLayers,
-			u.Seq.MaxRateMbps*e.opts.EncodeRateFactor)
+		d.queues[j] = &packet.Queue{}
+		d.receivers[j] = packet.NewReceiver(u.Seq)
+		g, err := video.BuildGOP(u.Seq, net.GOPSize, opts.MGSLayers,
+			u.Seq.MaxRateMbps*opts.EncodeRateFactor)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		e.gops[j] = g
-		e.r0[j] = u.Seq.RD.Beta * net.Band.B0() / float64(net.T)
-		e.r1[j] = u.Seq.RD.Beta * net.Band.B1() / float64(net.T)
-		e.ps0[j] = u.MBSLink.SuccessProbability()
-		e.ps1[j] = u.FBSLink.SuccessProbability()
-		e.wmax[j] = u.Seq.MaxPSNR()
-		e.fbsOf[j] = u.FBS
+		d.gops[j] = g
+		// Start the EWMA at half the saturation rate: optimistic but
+		// bounded, converging within a few GOPs.
+		d.ewmaRate[j] = u.Seq.MaxRateMbps / 2
 	}
 	// Every user shares the slot clock; use the first sequence's timing.
 	seq := net.Users[0].Seq
-	e.slotSeconds = float64(net.GOPSize) / seq.FPS / float64(net.T)
-	e.gopBytes = make([]int, k)
-	e.ewmaRate = make([]float64, k)
-	for j, u := range net.Users {
-		// Start the EWMA at half the saturation rate: optimistic but
-		// bounded, converging within a few GOPs.
-		e.ewmaRate[j] = u.Seq.MaxRateMbps / 2
-	}
+	d.slotSeconds = float64(net.GOPSize) / seq.FPS / float64(net.T)
+	return d, nil
+}
 
-	e.interfering = net.Graph.NumEdges() > 0
-	switch e.opts.Scheme {
-	case sim.Proposed:
-		e.solver = &core.EquilibriumSolver{}
-		if e.interfering {
-			e.greedy = core.NewGreedyAllocator(e.solver, core.WithLazyEvaluation())
+// PSNR is the quality user j would decode if the GOP ended now.
+func (d *delivery) PSNR(j int) float64 { return d.receivers[j].CurrentPSNR() }
+
+// MeanPSNR is user j's mean reconstructed quality over the closed GOPs.
+func (d *delivery) MeanPSNR(j int) float64 { return d.receivers[j].MeanPSNR() }
+
+// StartGOP discards what the last deadline left behind and enqueues every
+// user's next GOP, re-encoded first when AdaptiveRate is on.
+func (d *delivery) StartGOP(slot int) error {
+	deadline := slot + d.net.T - 1
+	for j, q := range d.queues {
+		q.DropOverdue(slot)
+		if d.opts.AdaptiveRate && slot > 0 {
+			if err := d.adaptRate(j); err != nil {
+				return err
+			}
 		}
-	case sim.Heuristic1:
-		e.solver = core.Heuristic1{}
-	case sim.Heuristic2:
-		e.solver = core.Heuristic2{}
-	case sim.RoundRobin:
-		e.solver = &core.RoundRobin{}
-	case sim.MaxThroughput:
-		e.solver = core.MaxThroughput{}
-	default:
-		return fmt.Errorf("%w: unknown scheme %d", ErrBadOptions, int(e.opts.Scheme))
+		if err := q.EnqueueGOP(j, d.gopIdx, d.gops[j], deadline); err != nil {
+			return err
+		}
+		d.receivers[j].StartGOP(d.gopIdx, d.gops[j])
 	}
-	e.colorOf, e.numColors = net.Graph.GreedyColoring()
+	d.gopIdx++
 	return nil
 }
 
-func (e *engine) step(slot int) error {
-	net := e.net
-
-	// GOP boundary: enqueue the next GOP with its delivery deadline.
-	if slot%net.T == 0 {
-		deadline := slot + net.T - 1
-		for j := range e.queues {
-			e.queues[j].DropOverdue(slot)
-			if e.opts.AdaptiveRate && slot > 0 {
-				if err := e.adaptRate(j); err != nil {
-					return err
-				}
-			}
-			if err := e.queues[j].EnqueueGOP(j, e.gopIdx, e.gops[j], deadline); err != nil {
-				return err
-			}
-			e.receivers[j].StartGOP(e.gopIdx, e.gops[j])
-		}
-		e.gopIdx++
+// Deliver moves the bytes the share carries through user j's queue: a
+// fading loss turns the sends into ARQ retransmissions.
+func (d *delivery) Deliver(j int, onMBS bool, share float64, lost bool) (float64, error) {
+	if share <= 0 {
+		return 0, nil
 	}
-
-	st, err := e.front.Step(slot)
+	band := d.net.Band.B1()
+	if onMBS {
+		band = d.net.Band.B0()
+	}
+	rateMbps := share * band
+	budget := int(rateMbps * 1e6 / 8 * d.slotSeconds)
+	rx := d.receivers[j]
+	before := rx.CurrentPSNR()
+	rep, delivered, err := packet.TransmitSlot(d.queues[j], budget, lost)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	d.sent += rep.Sent
+	d.retrans += rep.Retransmissions
+	d.dBytes += rep.DeliveredBytes
+	d.gopBytes[j] += rep.DeliveredBytes
+	rx.Accept(delivered)
+	return rx.CurrentPSNR() - before, nil
+}
 
-	// Build and solve the slot's allocation problem; W is the quality the
-	// user would decode with what it has received so far.
-	k := net.K()
-	w := make([]float64, k)
-	for j := range w {
-		w[j] = e.receivers[j].CurrentPSNR()
+// EndGOP closes out every receiver's quality accounting.
+func (d *delivery) EndGOP() {
+	for _, rx := range d.receivers {
+		rx.EndGOP()
 	}
-	inst := &core.Instance{
-		W: w, R0: e.r0, R1: e.r1, PS0: e.ps0, PS1: e.ps1, FBS: e.fbsOf,
-		G: make([]float64, net.NumFBS), WMax: e.wmax,
-	}
-
-	var alloc *core.Allocation
-	var assigned [][]int
-	if e.opts.Scheme == sim.Proposed && e.interfering {
-		res, err := e.greedy.Allocate(&core.ChannelProblem{
-			Base:       inst,
-			Graph:      net.Graph,
-			Channels:   st.Accessed,
-			Posteriors: st.AccessedPA,
-		})
-		if err != nil {
-			return err
-		}
-		alloc = res.Alloc
-		assigned = res.Assigned
-	} else {
-		assigned = e.staticAssignment(st.Accessed)
-		g := make([]float64, net.NumFBS)
-		for i := range assigned {
-			for _, ch := range assigned[i] {
-				g[i] += st.Decision.Channels[ch-1].Posterior
-			}
-		}
-		withG := inst.WithG(g)
-		alloc, err = e.solver.Solve(withG)
-		if err != nil {
-			return err
-		}
-	}
-
-	// Transmission + ACK phases: move bytes through each user's queue.
-	for j := 0; j < k; j++ {
-		var rateMbps float64
-		var lost bool
-		if alloc.MBS[j] {
-			if alloc.Rho0[j] <= 0 {
-				continue
-			}
-			rateMbps = alloc.Rho0[j] * net.Band.B0()
-			lost = e.net.Users[j].MBSLink.Lost(e.fadeStream)
-		} else {
-			if alloc.Rho1[j] <= 0 {
-				continue
-			}
-			idle := 0
-			for _, ch := range assigned[e.fbsOf[j]-1] {
-				if st.Truth.Idle(ch) {
-					idle++
-				}
-			}
-			if idle == 0 {
-				continue
-			}
-			rateMbps = alloc.Rho1[j] * float64(idle) * net.Band.B1()
-			lost = e.net.Users[j].FBSLink.Lost(e.fadeStream)
-		}
-		budget := int(rateMbps * 1e6 / 8 * e.slotSeconds)
-		rep, delivered, err := packet.TransmitSlot(e.queues[j], budget, lost)
-		if err != nil {
-			return err
-		}
-		e.sent += rep.Sent
-		e.retrans += rep.Retransmissions
-		e.dBytes += rep.DeliveredBytes
-		e.gopBytes[j] += rep.DeliveredBytes
-		e.receivers[j].Accept(delivered)
-	}
-
-	// End of GOP: close out quality accounting.
-	if (slot+1)%net.T == 0 {
-		for j := range e.receivers {
-			e.receivers[j].EndGOP()
-		}
-	}
-	return nil
 }
 
 // adaptRate folds the finished GOP's delivered throughput into user j's
 // EWMA and re-encodes the next GOP at 1.25x that estimate, clamped to
 // [10%, 100%] of the sequence's saturation rate.
-func (e *engine) adaptRate(j int) error {
-	gopSeconds := e.slotSeconds * float64(e.net.T)
-	measured := float64(e.gopBytes[j]) * 8 / 1e6 / gopSeconds
-	e.gopBytes[j] = 0
+func (d *delivery) adaptRate(j int) error {
+	gopSeconds := d.slotSeconds * float64(d.net.T)
+	measured := float64(d.gopBytes[j]) * 8 / 1e6 / gopSeconds
+	d.gopBytes[j] = 0
 	const alpha = 0.3
-	e.ewmaRate[j] = (1-alpha)*e.ewmaRate[j] + alpha*measured
+	d.ewmaRate[j] = (1-alpha)*d.ewmaRate[j] + alpha*measured
 
-	seq := e.net.Users[j].Seq
-	target := 1.25 * e.ewmaRate[j]
+	seq := d.net.Users[j].Seq
+	target := 1.25 * d.ewmaRate[j]
 	if min := 0.1 * seq.MaxRateMbps; target < min {
 		target = min
 	}
-	if target > seq.MaxRateMbps*e.opts.EncodeRateFactor {
-		target = seq.MaxRateMbps * e.opts.EncodeRateFactor
+	if target > seq.MaxRateMbps*d.opts.EncodeRateFactor {
+		target = seq.MaxRateMbps * d.opts.EncodeRateFactor
 	}
-	g, err := video.BuildGOP(seq, e.net.GOPSize, e.opts.MGSLayers, target)
+	g, err := video.BuildGOP(seq, d.net.GOPSize, d.opts.MGSLayers, target)
 	if err != nil {
 		return err
 	}
-	e.gops[j] = g
+	d.gops[j] = g
 	return nil
-}
-
-// staticAssignment mirrors sim's frequency plan for uncoordinated schemes.
-func (e *engine) staticAssignment(accessed []int) [][]int {
-	n := e.net.NumFBS
-	assigned := make([][]int, n)
-	if !e.interfering {
-		for i := 0; i < n; i++ {
-			assigned[i] = append([]int(nil), accessed...)
-		}
-		return assigned
-	}
-	for idx, ch := range accessed {
-		class := idx % e.numColors
-		for i := 0; i < n; i++ {
-			if e.colorOf[i] == class {
-				assigned[i] = append(assigned[i], ch)
-			}
-		}
-	}
-	return assigned
-}
-
-func (e *engine) result() *Result {
-	k := e.net.K()
-	res := &Result{
-		PerUserPSNR:     make([]float64, k),
-		Retransmissions: e.retrans,
-		SentPackets:     e.sent,
-		DeliveredBytes:  e.dBytes,
-		CollisionRate:   e.front.CollisionRate(),
-		GOPs:            e.receivers[0].CompletedGOPs(),
-	}
-	sum := 0.0
-	gains := make([]float64, k)
-	for j, r := range e.receivers {
-		res.PerUserPSNR[j] = r.MeanPSNR()
-		sum += r.MeanPSNR()
-		gains[j] = r.MeanPSNR() - e.net.Users[j].Seq.RD.Alpha
-		res.DroppedPackets += e.queues[j].Dropped()
-	}
-	res.MeanPSNR = sum / float64(k)
-	res.FairnessIndex = stats.JainIndex(gains)
-	return res
 }

@@ -29,8 +29,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(net, Options{Scheme: sim.Scheme(42)}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("bad scheme err = %v", err)
 	}
-	if _, err := Run(net, Options{EncodeRateFactor: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("bad rate factor err = %v", err)
+	for _, f := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run(net, Options{EncodeRateFactor: f}); !errors.Is(err, ErrBadOptions) {
+			t.Fatalf("rate factor %v err = %v", f, err)
+		}
 	}
 	broken := *net
 	broken.T = 0

@@ -39,7 +39,7 @@ func TestSlotStepSteadyStateAllocs(t *testing.T) {
 			net := benchNet(t, tc.interfering)
 			tc.opts.Seed = 1
 			tc.opts.GOPs = 1
-			e, err := newEngine(net, tc.opts.withDefaults())
+			e, err := newEngine(net, tc.opts.withDefaults(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,7 +47,7 @@ func benchSlotStep(b *testing.B, interfering bool, opts Options) {
 	net := benchNet(b, interfering)
 	opts.Seed = 1
 	opts.GOPs = 1
-	e, err := newEngine(net, opts.withDefaults())
+	e, err := newEngine(net, opts.withDefaults(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,8 +11,9 @@ import (
 
 // Frontend bundles the physical- and MAC-layer front half of one slot —
 // primary-user occupancy, spectrum sensing, posterior fusion, and the
-// collision-bounded access decision — shared by the rate-based engine here
-// and the packet-level engine in internal/packetsim.
+// collision-bounded access decision. The slot engine runs it for every
+// delivery back-end; it is exported for drivers that replay the slot
+// pipeline layer by layer.
 type Frontend struct {
 	net     *netmodel.Network
 	policy  access.Policy

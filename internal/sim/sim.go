@@ -2,8 +2,10 @@
 // time slot it evolves primary-user occupancy, senses every licensed channel
 // with errors, fuses the results into availability posteriors, makes the
 // collision-bounded access decision, runs a resource-allocation scheme, and
-// realizes packet losses over block-fading links, accumulating per-GOP video
-// quality exactly as the W-recursion of problem (10) prescribes.
+// realizes packet losses over block-fading links. A delivery back-end turns
+// each realized transmission into video quality: by default the W-recursion
+// of problem (10), or the packet discipline of internal/packetsim (see
+// Delivery).
 package sim
 
 import (
@@ -19,7 +21,6 @@ import (
 	"femtocr/internal/spectrum"
 	"femtocr/internal/stats"
 	"femtocr/internal/trace"
-	"femtocr/internal/video"
 )
 
 // Scheme selects the resource-allocation scheme under test.
@@ -189,6 +190,13 @@ type Result struct {
 // Run simulates the network under the chosen scheme and returns the
 // aggregated quality metrics.
 func Run(net *netmodel.Network, opts Options) (*Result, error) {
+	return RunDelivery(net, opts, nil)
+}
+
+// RunDelivery is Run with the delivery back-end d in place of the default
+// rate accounting (nil keeps the default). The eq. (23) bound trajectory
+// of TrackBound always uses rate accounting.
+func RunDelivery(net *netmodel.Network, opts Options, d Delivery) (*Result, error) {
 	if net == nil {
 		return nil, fmt.Errorf("%w: nil network", ErrBadOptions)
 	}
@@ -200,7 +208,7 @@ func Run(net *netmodel.Network, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("%w: GOPs=%d", ErrBadOptions, opts.GOPs)
 	}
 
-	e, err := newEngine(net, opts)
+	e, err := newEngine(net, opts, d)
 	if err != nil {
 		return nil, err
 	}
@@ -218,9 +226,11 @@ type engine struct {
 	net  *netmodel.Network
 	opts Options
 
-	front    *Frontend
-	progress []*video.Progress
-	bound    []*video.Progress
+	front *Frontend
+	deliv Delivery
+	// bound is the eq. (23) upper-bound trajectory under rate accounting,
+	// nil unless TrackBound.
+	bound *rateDelivery
 
 	fadeStream *rng.Stream
 
@@ -239,7 +249,7 @@ type engine struct {
 
 	// Reusable per-slot state: the instance snapshot (instW/instG are its
 	// backing arrays), the shallow view handed out by withG, the channel
-	// vectors, the static assignment lists, the realized gains, and the
+	// vectors, the static assignment lists, the credited gains, and the
 	// allocations written by SolveInto. All are owned by this engine and
 	// overwritten every slot; the engine is single-goroutine by design.
 	inst       core.Instance
@@ -254,7 +264,6 @@ type engine struct {
 	relaxAlloc *core.Allocation
 	inflate    *core.Allocation
 	chanProb   core.ChannelProblem
-	intoSolver core.IntoSolver // non-nil when solver supports SolveInto
 
 	// Warm-start plumbing: non-nil only when WarmStart or SolveStats is
 	// requested and the scheme's solver supports sessions. The slot solves
@@ -272,7 +281,8 @@ type engine struct {
 	slots     int
 }
 
-func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
+// newEngine builds the per-run state; a nil d selects the rate back-end.
+func newEngine(net *netmodel.Network, opts Options, d Delivery) (*engine, error) {
 	root := rng.New(opts.Seed)
 	front, err := NewFrontend(net, root, opts.SensorPolicy)
 	if err != nil {
@@ -293,7 +303,6 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 	}
 
 	k := net.K()
-	e.progress = make([]*video.Progress, k)
 	e.r0 = make([]float64, k)
 	e.r1 = make([]float64, k)
 	e.ps0 = make([]float64, k)
@@ -301,7 +310,6 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 	e.wmax = make([]float64, k)
 	e.fbsOf = make([]int, k)
 	for j, u := range net.Users {
-		e.progress[j] = video.NewProgress(u.Seq)
 		e.r0[j] = u.Seq.RD.Beta * net.Band.B0() / float64(net.T)
 		e.r1[j] = u.Seq.RD.Beta * net.Band.B1() / float64(net.T)
 		e.ps0[j] = u.MBSLink.SuccessProbability()
@@ -309,11 +317,12 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 		e.wmax[j] = u.Seq.MaxPSNR()
 		e.fbsOf[j] = u.FBS
 	}
+	e.deliv = d
+	if d == nil {
+		e.deliv = newRateDelivery(net, e.r0, e.r1)
+	}
 	if opts.TrackBound {
-		e.bound = make([]*video.Progress, k)
-		for j, u := range net.Users {
-			e.bound[j] = video.NewProgress(u.Seq)
-		}
+		e.bound = newRateDelivery(net, e.r0, e.r1)
 	}
 
 	e.interfering = net.Graph.NumEdges() > 0
@@ -364,7 +373,6 @@ func newEngine(net *netmodel.Network, opts Options) (*engine, error) {
 	if opts.TrackBound {
 		e.inflate = core.NewAllocation(k)
 	}
-	e.intoSolver, _ = e.solver.(core.IntoSolver)
 	if ws, ok := e.solver.(core.WarmSolver); ok && (opts.WarmStart || opts.SolveStats) {
 		e.warmSolver = ws
 		if opts.WarmStart {
@@ -397,6 +405,11 @@ func (e *engine) withG(g []float64) *core.Instance {
 //femtovet:hotpath
 func (e *engine) step(slot int) error {
 	net := e.net
+	if slot%net.T == 0 {
+		if err := e.deliv.StartGOP(slot); err != nil {
+			return err
+		}
+	}
 
 	// Sensing and access phases (shared front half).
 	st, err := e.front.Step(slot)
@@ -443,24 +456,18 @@ func (e *engine) step(slot int) error {
 				relaxG[i] = totalPA
 			}
 			relaxed := e.withG(relaxG)
-			relaxAlloc := e.relaxAlloc
-			if e.warmSolver != nil {
-				err = e.warmSolver.SolveWarmInto(relaxed, relaxAlloc, e.relaxSession)
-			} else if e.intoSolver != nil {
-				err = e.intoSolver.SolveInto(relaxed, relaxAlloc)
-			} else {
-				relaxAlloc, err = e.solver.Solve(relaxed)
-			}
-			if err != nil {
+			if err := e.solve(relaxed, e.relaxAlloc, e.relaxSession); err != nil {
 				return err
 			}
-			if v := relaxAlloc.Objective(relaxed); v < bound {
+			if v := e.relaxAlloc.Objective(relaxed); v < bound {
 				bound = v
 			}
 		}
 		// Transmission realization needs the channel->FBS map.
-		gains := e.realize(e.withG(gVec), alloc, res.Assigned, truth)
-		e.record(slot, st, alloc, gains)
+		if err := e.realize(alloc, res.Assigned, truth); err != nil {
+			return err
+		}
+		e.record(slot, st, alloc)
 		if e.opts.TrackBound {
 			e.trackBound(e.withG(gVec), alloc, res.Value, bound, res.Assigned, truth)
 		}
@@ -477,21 +484,14 @@ func (e *engine) step(slot int) error {
 				gVec[i] += decision.Channels[ch-1].Posterior
 			}
 		}
-		withG := e.withG(gVec)
-		if e.warmSolver != nil {
-			alloc = e.alloc
-			err = e.warmSolver.SolveWarmInto(withG, alloc, e.session)
-		} else if e.intoSolver != nil {
-			alloc = e.alloc
-			err = e.intoSolver.SolveInto(withG, alloc)
-		} else {
-			alloc, err = e.solver.Solve(withG)
-		}
-		if err != nil {
+		alloc = e.alloc
+		if err := e.solve(e.withG(gVec), alloc, e.session); err != nil {
 			return err
 		}
-		gains := e.realize(withG, alloc, assigned, truth)
-		e.record(slot, st, alloc, gains)
+		if err := e.realize(alloc, assigned, truth); err != nil {
+			return err
+		}
+		e.record(slot, st, alloc)
 	}
 	e.sumG += decision.ExpectedAvailable()
 	e.slots++
@@ -505,14 +505,21 @@ func (e *engine) step(slot int) error {
 
 	// GOP boundary: record final PSNR and reset, per the delivery deadline.
 	if (slot+1)%net.T == 0 {
-		for _, p := range e.progress {
-			p.EndGOP()
-		}
-		for _, p := range e.bound {
-			p.EndGOP()
+		e.deliv.EndGOP()
+		if e.bound != nil {
+			e.bound.EndGOP()
 		}
 	}
 	return nil
+}
+
+// solve runs one slot solve into out, warm-started from sess when the
+// engine carries sessions.
+func (e *engine) solve(in *core.Instance, out *core.Allocation, sess *core.SolverSession) error {
+	if e.warmSolver != nil {
+		return e.warmSolver.SolveWarmInto(in, out, sess)
+	}
+	return e.solver.SolveInto(in, out)
 }
 
 // captureDualTrace runs the paper's literal constant-step subgradient with a
@@ -542,7 +549,7 @@ func (e *engine) captureDualTrace(gVec []float64) error {
 }
 
 // record forwards the slot's events to the configured trace recorder.
-func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation, gains []float64) {
+func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation) {
 	rec := e.opts.Recorder
 	if rec == nil {
 		return
@@ -563,7 +570,7 @@ func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation, gains [
 		Collisions:   collisions,
 	})
 	gopDone := (slot+1)%e.net.T == 0
-	for j := range gains {
+	for j, gain := range e.gains {
 		share := alloc.Rho1[j]
 		if alloc.MBS[j] {
 			share = alloc.Rho0[j]
@@ -573,8 +580,8 @@ func (e *engine) record(slot int, st *SlotState, alloc *core.Allocation, gains [
 			User:    j,
 			OnMBS:   alloc.MBS[j],
 			Share:   share,
-			GainDB:  gains[j],
-			PSNR:    e.progress[j].PSNR(),
+			GainDB:  gain,
+			PSNR:    e.deliv.PSNR(j),
 			GOPDone: gopDone,
 		})
 	}
@@ -612,7 +619,7 @@ func (e *engine) staticAssignment(accessed []int) [][]int {
 // channel allocation assigns one via withG.
 func (e *engine) instance() *core.Instance {
 	for j := range e.instW {
-		e.instW[j] = e.progress[j].PSNR()
+		e.instW[j] = e.deliv.PSNR(j)
 	}
 	for i := range e.instG {
 		e.instG[i] = 0
@@ -620,61 +627,55 @@ func (e *engine) instance() *core.Instance {
 	return &e.inst
 }
 
-// realize draws the slot's packet-loss outcomes and credits delivered video
-// quality: an MBS user succeeds iff its macro link decodes; an FBS user's
-// delivered rate scales with the channels, among those assigned to its FBS,
-// that are truly idle (transmissions on busy channels collide and are
-// lost). It returns the realized per-user quality increments.
-func (e *engine) realize(in *core.Instance, alloc *core.Allocation, assigned [][]int, truth spectrum.Occupancy) []float64 {
-	gains := e.gains
-	for j := range gains {
-		gains[j] = 0
+// transmission draws user j's slot outcome under alloc. An MBS user sends
+// its time share; an FBS user sends its share on every channel, among those
+// assigned to its FBS, that is truly idle (transmissions on busy channels
+// collide and are lost). A fading loss is drawn only for a nonzero share.
+func (e *engine) transmission(j int, alloc *core.Allocation, assigned [][]int, truth spectrum.Occupancy) (onMBS bool, share float64, lost bool) {
+	if alloc.MBS[j] {
+		if alloc.Rho0[j] > 0 {
+			return true, alloc.Rho0[j], e.net.Users[j].MBSLink.Lost(e.fadeStream)
+		}
+		return true, 0, false
 	}
-	for j := 0; j < in.K(); j++ {
-		if alloc.MBS[j] {
-			if alloc.Rho0[j] > 0 && !e.net.Users[j].MBSLink.Lost(e.fadeStream) {
-				gains[j] = alloc.Rho0[j] * e.r0[j]
-			}
-		} else if alloc.Rho1[j] > 0 {
-			idle := 0
-			for _, ch := range assigned[in.FBS[j]-1] {
-				if truth.Idle(ch) {
-					idle++
-				}
-			}
-			if idle > 0 && !e.net.Users[j].FBSLink.Lost(e.fadeStream) {
-				gains[j] = alloc.Rho1[j] * float64(idle) * e.r1[j]
+	idle := 0
+	if alloc.Rho1[j] > 0 {
+		for _, ch := range assigned[e.fbsOf[j]-1] {
+			if truth.Idle(ch) {
+				idle++
 			}
 		}
-		e.progress[j].AddPSNR(gains[j])
 	}
-	return gains
+	if idle == 0 {
+		return false, 0, false
+	}
+	return false, alloc.Rho1[j] * float64(idle), e.net.Users[j].FBSLink.Lost(e.fadeStream)
+}
+
+// realize draws every user's transmission in user order and hands it to
+// the delivery back-end, keeping the credited gains for the recorder.
+func (e *engine) realize(alloc *core.Allocation, assigned [][]int, truth spectrum.Occupancy) error {
+	for j := range e.gains {
+		onMBS, share, lost := e.transmission(j, alloc, assigned, truth)
+		g, err := e.deliv.Deliver(j, onMBS, share, lost)
+		if err != nil {
+			return err
+		}
+		e.gains[j] = g
+	}
+	return nil
 }
 
 // trackBound advances the upper-bound quality trajectory: the eq. (23)
 // objective bound is converted to per-user quality by inflating every
 // user's expected gain by the common factor theta >= 1 that makes the
-// objective meet the bound, then applying the same realization discipline.
+// objective meet the bound, then applying the same realization discipline
+// with fresh fading draws.
 func (e *engine) trackBound(in *core.Instance, alloc *core.Allocation, value, upper float64, assigned [][]int, truth spectrum.Occupancy) {
 	theta := gainInflation(in, alloc, value, upper, e.inflate)
-	for j := 0; j < in.K(); j++ {
-		gain := 0.0
-		if alloc.MBS[j] {
-			if alloc.Rho0[j] > 0 && !e.net.Users[j].MBSLink.Lost(e.fadeStream) {
-				gain = alloc.Rho0[j] * e.r0[j]
-			}
-		} else if alloc.Rho1[j] > 0 {
-			idle := 0
-			for _, ch := range assigned[in.FBS[j]-1] {
-				if truth.Idle(ch) {
-					idle++
-				}
-			}
-			if idle > 0 && !e.net.Users[j].FBSLink.Lost(e.fadeStream) {
-				gain = alloc.Rho1[j] * float64(idle) * e.r1[j]
-			}
-		}
-		e.bound[j].AddPSNR(theta * gain)
+	for j, p := range e.bound.progress {
+		onMBS, share, lost := e.transmission(j, alloc, assigned, truth)
+		p.AddPSNR(theta * e.bound.gain(j, onMBS, share, lost))
 	}
 }
 
@@ -721,7 +722,7 @@ func (e *engine) result() *Result {
 	k := e.net.K()
 	res := &Result{
 		PerUserPSNR: make([]float64, k),
-		GOPs:        e.progress[0].CompletedGOPs(),
+		GOPs:        e.slots / e.net.T,
 		Slots:       e.slots,
 		DualTrace:   e.dualTrace,
 		Warm:        e.warmReport(),
@@ -729,12 +730,13 @@ func (e *engine) result() *Result {
 	sum := 0.0
 	gains := make([]float64, k)
 	res.MinUserPSNR = math.Inf(1)
-	for j, p := range e.progress {
-		res.PerUserPSNR[j] = p.MeanPSNR()
-		sum += p.MeanPSNR()
-		gains[j] = p.MeanPSNR() - e.net.Users[j].Seq.RD.Alpha
-		if p.MeanPSNR() < res.MinUserPSNR {
-			res.MinUserPSNR = p.MeanPSNR()
+	for j := range res.PerUserPSNR {
+		m := e.deliv.MeanPSNR(j)
+		res.PerUserPSNR[j] = m
+		sum += m
+		gains[j] = m - e.net.Users[j].Seq.RD.Alpha
+		if m < res.MinUserPSNR {
+			res.MinUserPSNR = m
 		}
 	}
 	res.MeanPSNR = sum / float64(k)
@@ -742,7 +744,7 @@ func (e *engine) result() *Result {
 	if e.bound != nil {
 		res.PerUserBound = make([]float64, k)
 		bsum := 0.0
-		for j, p := range e.bound {
+		for j, p := range e.bound.progress {
 			res.PerUserBound[j] = p.MeanPSNR()
 			bsum += p.MeanPSNR()
 		}

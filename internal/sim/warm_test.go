@@ -95,7 +95,7 @@ func TestWarmStartMatchesColdAcrossConfigs(t *testing.T) {
 func TestWarmStartDefaultOffIsLegacyPath(t *testing.T) {
 	net := benchNet(t, false)
 	opts := Options{Seed: 1, GOPs: 1, Scheme: Proposed}
-	e, err := newEngine(net, opts.withDefaults())
+	e, err := newEngine(net, opts.withDefaults(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

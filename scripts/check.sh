@@ -9,19 +9,23 @@
 #                     RNG provenance, index domains, probability ranges,
 #                     float comparisons, dropped errors), built once and run
 #                     against the checked-in baseline
-#   5. escape_check — advisory: diffs the compiler's -gcflags=-m escape
-#                     analysis over the //femtovet:hotpath packages against
-#                     scripts/escape_expect.txt (drift warns, never fails)
-#   6. determinism  — the parallel-replication regression: figures must be
+#   5. determinism  — the parallel-replication regression: figures must be
 #                     byte-identical for workers=1, 4, and GOMAXPROCS, run
 #                     under the race detector (named explicitly so a test
 #                     rename can't silently drop the gate)
-#   7. go test -race — all tests under the race detector
+#   6. go test -race — all tests under the race detector
+#   7. perfbench     — the benchmark module's own tests (a separate module,
+#                     so step 6 skips it): its traced layer replays must
+#                     match sim.Run and packetsim.Run bit for bit
 #   8. metro smoke   — a quick-scale generated metro through the sharded
 #                     engine end to end (femtosim -scenario metro)
 #   9. warm smoke    — a warm-started dual run through femtosim must report
 #                     the bitwise-identical full-precision PSNR as the cold
 #                     run (the warm-start correctness contract, end to end)
+#
+# The allocation-free hot-path contract is enforced by the femtovet hotpath
+# analyzer (step 4) and the AllocsPerRun pins in internal/core/alloc_test.go
+# and internal/sim/alloc_test.go (step 6).
 #
 # Both -race steps run with GOMAXPROCS=4: the CI container exposes a single
 # CPU (see the 1-CPU caveat the bench scripts record in BENCH_*.json), and
@@ -55,9 +59,6 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/femtovet" ./cmd/femtovet
 "$tmp/femtovet" -baseline femtovet.baseline.json ./...
 
-echo "==> escape_check (advisory gcflags=-m cross-check of the hotpath contract)"
-./scripts/escape_check.sh
-
 echo "==> parallel determinism (workers=1/4/GOMAXPROCS, byte-identical figures)"
 echo "    GOMAXPROCS=4 (forced: 1-CPU runners don't interleave goroutines)"
 GOMAXPROCS=4 go test -race -run '^(TestParallelDeterminism|TestTopologyStudyDeterminism)$' \
@@ -66,6 +67,9 @@ GOMAXPROCS=4 go test -race -run '^(TestParallelDeterminism|TestTopologyStudyDete
 echo "==> go test -race"
 echo "    GOMAXPROCS=4 (forced: 1-CPU runners don't interleave goroutines)"
 GOMAXPROCS=4 go test -race ./...
+
+echo "==> perfbench tests (separate module; replays pinned to the engines)"
+(cd perfbench && go test -short -count=1 ./...)
 
 echo "==> metro smoke (sharded engine end to end through femtosim)"
 go run ./cmd/femtosim -scenario metro -metro-fbs 24 -metro-users 2 \
