@@ -20,6 +20,12 @@ import (
 	"femtocr/internal/rng"
 )
 
+// greedyAllocBudget is the average allocations permitted per greedy
+// Allocate. It covers only the escaping result (GreedyResult, its
+// allocation, gain vector, and step log) — the pre-rework figure was ~7400
+// allocs per Allocate from per-Q-evaluation instance rebuilds.
+const greedyAllocBudget = 48
+
 // solveIntoBudget is the average allocations permitted per SolveInto. The
 // expected value is zero; the headroom absorbs the occasional sync.Pool
 // miss after a GC, which replaces the whole workspace at once.
@@ -64,10 +70,7 @@ func TestGreedyAllocateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// The budget covers only the escaping result (GreedyResult, its
-	// allocation, gain vector, and step log) — the pre-rework figure was
-	// ~7400 allocs per Allocate from per-Q-evaluation instance rebuilds.
-	const budget = 48
+	const budget = greedyAllocBudget
 	p := interferingProblem(rng.New(7), 4)
 	for _, tc := range []struct {
 		name string
@@ -90,4 +93,46 @@ func TestGreedyAllocateSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGreedyAllocateAtProbeCapSteadyStateAllocs pins the probe-row cache's
+// cap: once a workspace's row arena has grown to probeRowCap, further
+// walks run uncached on the scratch row instead of growing it, so an
+// Allocate large enough to fill the arena stays within the same budget.
+func TestGreedyAllocateAtProbeCapSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p := probeCapProblem()
+	g := NewGreedyAllocator(&EquilibriumSolver{}, WithLazyEvaluation())
+	ws := new(solveWorkspace)
+	ws.bumpEqEpoch()
+	if _, err := g.allocateWS(p, ws); err != nil {
+		t.Fatal(err)
+	}
+	if m := len(ws.byFBS[1]); len(ws.probeRows)+m <= probeRowCap {
+		t.Fatalf("Allocate left %d of %d row entries in use; the problem does not reach the cap", len(ws.probeRows), probeRowCap)
+	}
+	if _, err := g.Allocate(p); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := g.Allocate(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > greedyAllocBudget {
+		t.Errorf("Allocate allocates %.2f/op in steady state, budget %d", avg, greedyAllocBudget)
+	}
+}
+
+// probeCapProblem is a three-FBS path with 60 users per cell: its Q
+// evaluations fill the probe-row arena within one Allocate.
+func probeCapProblem() *ChannelProblem {
+	p := interferingProblem(rng.New(8), 8)
+	p.Base = randomInstance(rng.New(9), 180, 3)
+	for j := range p.Base.FBS {
+		p.Base.FBS[j] = j/60 + 1
+	}
+	return p
 }

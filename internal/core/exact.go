@@ -87,7 +87,7 @@ func (b *BruteForceSolver) solveInto(in *Instance, best *Allocation) error {
 // It is the default Q(c) evaluator inside the greedy channel allocator,
 // where the brute-force reference would be exponential.
 type EquilibriumSolver struct {
-	// Iters controls both bisection depths. Zero means the default of 60.
+	// Iters controls both bisection depths. Zero means the default of 45.
 	Iters int
 }
 
@@ -139,7 +139,7 @@ func (e *EquilibriumSolver) SolveWarmInto(in *Instance, out *Allocation, sess *S
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	ws.bumpEqEpoch()
-	return e.solveSessionWS(in, out, ws, sess)
+	return e.solveSessionWS(in, out, ws, sess, (*solveWorkspace).equilibriumFBS)
 }
 
 func (e *EquilibriumSolver) solveInto(in *Instance, alloc *Allocation) error {
@@ -160,16 +160,17 @@ func (e *EquilibriumSolver) solveInto(in *Instance, alloc *Allocation) error {
 //femtovet:hotpath
 //femtovet:borrows in, alloc, ws
 func (e *EquilibriumSolver) solveIntoWS(in *Instance, alloc *Allocation, ws *solveWorkspace) error {
-	return e.solveSessionWS(in, alloc, ws, nil)
+	return e.solveSessionWS(in, alloc, ws, nil, (*solveWorkspace).equilibriumFBS)
 }
 
 // solveSessionWS is the full equilibrium solve on a caller-held workspace
 // with an optional cross-slot session; sess == nil is the legacy cold path,
-// bit-identical to the pre-session solver.
+// bit-identical to the pre-session solver. eq is the per-FBS inner search:
+// (*solveWorkspace).equilibriumFBS, or a reference implementation in tests.
 //
 //femtovet:hotpath
 //femtovet:borrows in, alloc, ws, sess
-func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *solveWorkspace, sess *SolverSession) error {
+func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *solveWorkspace, sess *SolverSession, eq fbsEquilibrium) error {
 	iters := e.Iters
 	if iters == 0 {
 		iters = 45
@@ -177,8 +178,7 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 	k := in.K()
 
 	ws.prepareUsers(in)
-	u0, u1, logW := ws.u0, ws.u1, ws.logW
-	wr0, wr1 := ws.wr0, ws.wr1
+	u0, wr0 := ws.u0, ws.wr0
 	sum0PS := 0.0
 	for j := 0; j < k; j++ {
 		if in.R0[j] > 0 {
@@ -186,98 +186,6 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 		}
 	}
 	byFBS := ws.groupByFBS(in)
-
-	const lambdaFloor = 1e-15
-
-	// equilibriumFBS returns the price of FBS i's band clearing its unit
-	// budget given the common-channel price, along with each member's
-	// final choice as a bitmask (bit b set = member b prefers the MBS at
-	// the returned price). Demand is non-increasing in the band price:
-	// shares shrink and users defect to the MBS as it rises. The MBS
-	// branch values depend only on l0, so they are computed once per call.
-	//
-	// The (price, mask) pair is a pure function of (i, l0, G_i) for a fixed
-	// base instance, so results are memoized in the workspace: the greedy
-	// allocator's Q evaluations perturb G at a single FBS per candidate,
-	// leaving every other FBS's inner bisection — the dominant cost of the
-	// solve — to be answered from the memo. Demand totals are only ever
-	// compared against the unit budget, so the accumulation loops exit as
-	// soon as the (nonnegative) partial sum crosses it: the remaining terms
-	// cannot bring it back, making the early exit decision-identical.
-	equilibriumFBS := func(i int, l0 float64) (float64, uint64) {
-		members := byFBS[i]
-		gi := in.G[i-1]
-		memoable := len(members) <= 64
-		if memoable {
-			if li, mask, ok := ws.eqMemoGet(i, l0, gi); ok {
-				return li, mask
-			}
-		}
-		// Gather the members' columns once per miss: the ~2*iters demand
-		// probes below then walk contiguous copies instead of chasing
-		// member indices through the per-user columns. Same values, same
-		// member order, same operations — bit-identical.
-		m := len(members)
-		ws.gU = growU(ws.gU, m)
-		ws.gLogW = growF(ws.gLogW, m)
-		ws.gWR = growF(ws.gWR, m)
-		ws.gBL = growF(ws.gBL, m)
-		ws.gV0 = growF(ws.gV0, m)
-		gU, gLogW, gWR, gBL, gV0 := ws.gU, ws.gLogW, ws.gWR, ws.gBL, ws.gV0
-		for b, j := range members {
-			gU[b] = u1[j]
-			gLogW[b] = logW[j]
-			gWR[b] = wr1[j]
-			gBL[b] = ws.bl1[j]
-			gV0[b], _ = u0[j].branchAndRhoWR(l0, logW[j], wr0[j], ws.bl0[j])
-		}
-		demand := func(li float64) float64 {
-			total := 0.0
-			for b := range gU {
-				bv, rho := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
-				if bv >= gV0[b] {
-					total += rho
-					if total > 1 {
-						return total
-					}
-				}
-			}
-			return total
-		}
-		li := lambdaFloor
-		if demand(li) > 1 {
-			hi := 0.0
-			for b := range gU {
-				hi += gU[b].ps
-			}
-			if hi > li {
-				for demand(hi) > 1 {
-					hi *= 2
-				}
-				lo := li
-				for it := 0; it < iters; it++ {
-					mid := 0.5 * (lo + hi)
-					if demand(mid) > 1 {
-						lo = mid
-					} else {
-						hi = mid
-					}
-				}
-				li = hi
-			}
-		}
-		var mask uint64
-		for b := range gU {
-			bv, _ := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
-			if gV0[b] > bv {
-				mask |= 1 << uint(b)
-			}
-		}
-		if memoable {
-			ws.eqMemoPut(i, l0, gi, li, mask)
-		}
-		return li, mask
-	}
 
 	// Outer bisection on lambda_0: MBS demand is non-increasing in it.
 	// outerProbes counts the demand0 evaluations of one solve — each one
@@ -288,7 +196,7 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 		outerProbes++
 		total := 0.0
 		for i := 1; i <= in.N(); i++ {
-			_, mask := equilibriumFBS(i, l0)
+			_, mask := eq(ws, in, i, l0, iters)
 			for b, j := range byFBS[i] {
 				if mask&(1<<uint(b)) != 0 {
 					total += u0[j].rhoAtWR(l0, wr0[j])
@@ -393,7 +301,7 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 	// Fix the association at the equilibrium prices, then water-fill.
 	alloc.resize(k)
 	for i := 1; i <= in.N(); i++ {
-		_, mask := equilibriumFBS(i, l0)
+		_, mask := eq(ws, in, i, l0, iters)
 		for b, j := range byFBS[i] {
 			alloc.MBS[j] = mask&(1<<uint(b)) != 0
 		}
@@ -404,4 +312,136 @@ func (e *EquilibriumSolver) solveSessionWS(in *Instance, alloc *Allocation, ws *
 		return fmt.Errorf("equilibrium solver produced infeasible allocation: %w", err)
 	}
 	return nil
+}
+
+// fbsEquilibrium is the per-FBS inner price search solveSessionWS runs for
+// every outer probe; (*solveWorkspace).equilibriumFBS is the only
+// production implementation.
+type fbsEquilibrium func(ws *solveWorkspace, in *Instance, i int, l0 float64, iters int) (float64, uint64)
+
+// lambdaFloor is the lower end of every price bracket.
+const lambdaFloor = 1e-15
+
+// equilibriumFBS returns the price of FBS i's band clearing its unit
+// budget given the common-channel price, along with each member's final
+// choice as a bitmask (bit b set = member b prefers the MBS at the returned
+// price). Demand is non-increasing in the band price: shares shrink and
+// users defect to the MBS as it rises. The MBS branch values depend only on
+// l0, so they are computed once per call. ws must hold the solve's
+// prepareUsers views and groupByFBS member lists.
+//
+// The (price, mask) pair is a pure function of (i, l0, G_i) for a fixed
+// base instance, so results are memoized in the workspace: the greedy
+// allocator's Q evaluations perturb G at a single FBS per candidate,
+// leaving every other FBS's inner bisection — the dominant cost of the
+// solve — to be answered from the memo. A memo miss still walks the probe
+// trie of (i, G_i) (see solveWorkspace.probeRoots), so only prices no
+// earlier walk reached pay for branch values. Demand totals are only ever
+// compared against the unit budget, so the accumulation loops exit as soon
+// as the (nonnegative) partial sum crosses it: the remaining terms cannot
+// bring it back, making the early exit decision-identical.
+//
+//femtovet:hotpath
+//femtovet:borrows in
+func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters int) (float64, uint64) {
+	members := ws.byFBS[i]
+	gi := in.G[i-1]
+	memoable := len(members) <= 64
+	if memoable {
+		if li, mask, ok := ws.eqMemoGet(i, l0, gi); ok {
+			return li, mask
+		}
+	}
+	// Gather the members' columns once per miss: the probes below then
+	// walk contiguous copies instead of chasing member indices through the
+	// per-user columns. Same values, same member order, same operations —
+	// bit-identical.
+	m := len(members)
+	ws.gU = growU(ws.gU, m)
+	ws.gLogW = growF(ws.gLogW, m)
+	ws.gWR = growF(ws.gWR, m)
+	ws.gBL = growF(ws.gBL, m)
+	ws.gV0 = growF(ws.gV0, m)
+	gU, gLogW, gWR, gBL, gV0 := ws.gU, ws.gLogW, ws.gWR, ws.gBL, ws.gV0
+	for b, j := range members {
+		gU[b] = ws.u1[j]
+		gLogW[b] = ws.logW[j]
+		gWR[b] = ws.wr1[j]
+		gBL[b] = ws.bl1[j]
+		gV0[b], _ = ws.u0[j].branchAndRhoWR(l0, ws.logW[j], ws.wr0[j], ws.bl0[j])
+	}
+	// over reports whether demand at price li exceeds the unit budget. The
+	// probe sequence below is a function of the outcomes alone, so each
+	// probe first steps from the previous probe's node to the child its
+	// outcome selects; node then holds li's row, whose entries are read
+	// where cached and computed (and cached) where not. last is the node
+	// of the latest probe with demand <= 1 — the price the search returns.
+	node := ws.probeRootOf(i, gi, m)
+	last, step := node, -1
+	over := func(li float64) bool {
+		if step >= 0 {
+			node = ws.probeChild(node, step, m)
+		}
+		row, filled := ws.probeRow(node, m)
+		f := int(*filled)
+		total, exceeded := 0.0, false
+		for b := range row {
+			if b == f {
+				row[b].bv, row[b].rho = gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
+				f++
+			}
+			if row[b].bv >= gV0[b] {
+				total += row[b].rho
+				if total > 1 {
+					exceeded = true
+					break
+				}
+			}
+		}
+		*filled = int32(f)
+		step = 0
+		if exceeded {
+			step = 1
+		} else {
+			last = node
+		}
+		return exceeded
+	}
+	li := lambdaFloor
+	if over(li) {
+		hi := 0.0
+		for b := range gU {
+			hi += gU[b].ps
+		}
+		if hi > li {
+			for over(hi) {
+				hi *= 2
+			}
+			lo := li
+			for it := 0; it < iters; it++ {
+				mid := 0.5 * (lo + hi)
+				if over(mid) {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			li = hi
+		}
+	}
+	row, filled := ws.probeRow(last, m)
+	var mask uint64
+	for b := range row {
+		if b == int(*filled) {
+			row[b].bv, row[b].rho = gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
+			*filled++
+		}
+		if gV0[b] > row[b].bv {
+			mask |= 1 << uint(b)
+		}
+	}
+	if memoable {
+		ws.eqMemoPut(i, l0, gi, li, mask)
+	}
+	return li, mask
 }

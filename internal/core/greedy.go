@@ -172,11 +172,20 @@ func (g *GreedyAllocator) Allocate(p *ChannelProblem) (*GreedyResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	return g.allocateWS(p, ws)
+}
+
+// allocateWS is Allocate on a caller-held workspace and a validated
+// problem.
+//
+//femtovet:hotpath
+//femtovet:borrows p, ws
+func (g *GreedyAllocator) allocateWS(p *ChannelProblem, ws *solveWorkspace) (*GreedyResult, error) {
 	n := p.Base.N()
 	res := newGreedyResult(n, p.Graph.MaxDegree())
 
-	ws := getWorkspace()
-	defer putWorkspace(ws)
 	// The cached log(W) terms depend only on Base.W, which every Q
 	// evaluation shares regardless of its trial G vector.
 	ws.prepareUsers(p.Base)

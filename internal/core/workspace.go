@@ -72,6 +72,27 @@ type solveWorkspace struct {
 	eqMemo  []eqMemoEntry
 	eqEpoch uint32
 
+	// Probe-row cache of the inner bisection (see equilibriumFBS), sharing
+	// eqMemo's epoch and invalidation contract. A member's branch value and
+	// share at band price lambda_i depend on (i, G_i, lambda_i) but not on
+	// lambda_0, and every inner bisection of FBS i at a given G_i walks the
+	// same dyadic price tree from the same bracket, so its probes keep
+	// landing on prices an earlier walk already evaluated. Each (i, G_i)
+	// owns a trie of probe nodes: probeRoots maps the pair to the node of
+	// the lambda-floor probe, and a node's kids are the nodes of the next
+	// probe after a demand <= 1 or > 1 outcome, so a walk follows child
+	// links instead of hashing every price. A node's row holds the members'
+	// (branch value, share) pairs exactly as branchAndRhoWR returned them,
+	// filled lazily in member order as far as a demand sum has read.
+	// bumpEqEpoch truncates the node and row arenas, which grow on demand
+	// up to probeRowCap entries; past it a walk runs uncached on the
+	// scratch row.
+	probeRoots    []probeRoot
+	probeNodes    []probeNode
+	probeRows     []probeEntry
+	probeScratch  []probeEntry
+	scratchFilled int32
+
 	// polishRho0/polishRho1 snapshot an allocation's shares so a rejected
 	// association flip restores them instead of re-water-filling.
 	polishRho0, polishRho1 []float64
@@ -111,8 +132,13 @@ func (ws *solveWorkspace) bumpEqEpoch() {
 		for i := range ws.eqMemo {
 			ws.eqMemo[i] = eqMemoEntry{}
 		}
+		for i := range ws.probeRoots {
+			ws.probeRoots[i] = probeRoot{}
+		}
 		ws.eqEpoch = 1
 	}
+	ws.probeNodes = ws.probeNodes[:0]
+	ws.probeRows = ws.probeRows[:0]
 }
 
 // eqMemoGet looks up the memoized equilibrium of FBS fbs at common price
@@ -159,6 +185,113 @@ func (ws *solveWorkspace) eqMemoPut(fbs int, l0f, gf float64, li float64, mask u
 		}
 	}
 	*slot = eqMemoEntry{l0: l0, g: g, li: li, mask: mask, fbs: int32(fbs), epoch: ws.eqEpoch}
+}
+
+// probeRoot maps one (FBS, G_i) pair of the current epoch to the root of
+// its probe trie: the node of the lambda-floor probe every walk starts at.
+type probeRoot struct {
+	g     uint64 // math.Float64bits of G_i
+	fbs   int32
+	node  int32
+	epoch uint32
+}
+
+// probeNode is one inner-bisection price of a probe trie. The price itself
+// is not stored: it is a function of the path from the root, which the
+// walk recomputes with the same float operations.
+type probeNode struct {
+	row    int32    // index of member 0's entry in probeRows
+	filled int32    // leading members whose entries are computed
+	kids   [2]int32 // next probe after a demand <= 1 / > 1 outcome; 0 = none yet
+}
+
+// probeEntry is one member's branchAndRhoWR result at a node's price.
+type probeEntry struct{ bv, rho float64 }
+
+const (
+	probeRootSize = 1024    // power of two
+	probeRowCap   = 1 << 16 // cached member entries per epoch (16 B each)
+)
+
+// probeRootOf returns the trie root of FBS fbs, with m members, at
+// G_i = gf, creating it on a miss. It returns -1 when the walk must run
+// uncached: no epoch yet, no members, or the row arena is at its cap.
+func (ws *solveWorkspace) probeRootOf(fbs int, gf float64, m int) int32 {
+	if ws.eqEpoch == 0 || m == 0 {
+		return -1
+	}
+	if cap(ws.probeRoots) < probeRootSize {
+		ws.probeRoots = make([]probeRoot, probeRootSize)
+	}
+	ws.probeRoots = ws.probeRoots[:probeRootSize]
+	g := math.Float64bits(gf)
+	h := eqMemoHash(int32(fbs), 0, g)
+	slot := &ws.probeRoots[h&(probeRootSize-1)]
+	for p := uint64(0); p < eqMemoProbe; p++ {
+		e := &ws.probeRoots[(h+p)&(probeRootSize-1)]
+		if e.epoch != ws.eqEpoch {
+			slot = e
+			break
+		}
+		if e.fbs == int32(fbs) && e.g == g {
+			return e.node
+		}
+	}
+	// A full window overwrites its home slot; the evicted trie stays in the
+	// arena, unreachable, until the next epoch truncates it.
+	n := ws.newProbeNode(m)
+	if n >= 0 {
+		*slot = probeRoot{g: g, fbs: int32(fbs), node: n, epoch: ws.eqEpoch}
+	}
+	return n
+}
+
+// probeChild returns the node of the probe that follows node n after
+// outcome o (1 = demand > 1), creating it on a miss; -1 when n is uncached
+// or the arena is at its cap.
+func (ws *solveWorkspace) probeChild(n int32, o int, m int) int32 {
+	if n < 0 {
+		return -1
+	}
+	if k := ws.probeNodes[n].kids[o]; k != 0 {
+		return k
+	}
+	k := ws.newProbeNode(m)
+	if k >= 0 {
+		ws.probeNodes[n].kids[o] = k
+	}
+	return k
+}
+
+// newProbeNode appends a node with an empty m-entry row, or returns -1
+// when the row arena would pass probeRowCap.
+func (ws *solveWorkspace) newProbeNode(m int) int32 {
+	r := len(ws.probeRows)
+	if r+m > probeRowCap {
+		return -1
+	}
+	if cap(ws.probeRows) < r+m {
+		grown := make([]probeEntry, r, min(2*(r+m), probeRowCap))
+		copy(grown, ws.probeRows)
+		ws.probeRows = grown
+	}
+	ws.probeRows = ws.probeRows[:r+m]
+	ws.probeNodes = append(ws.probeNodes, probeNode{row: int32(r)})
+	return int32(len(ws.probeNodes) - 1)
+}
+
+// probeRow returns node n's m-entry row and its fill count. An uncached
+// walk (n < 0) gets the scratch row, emptied for every probe.
+func (ws *solveWorkspace) probeRow(n int32, m int) ([]probeEntry, *int32) {
+	if n < 0 {
+		if cap(ws.probeScratch) < m {
+			ws.probeScratch = make([]probeEntry, m)
+		}
+		ws.scratchFilled = 0
+		return ws.probeScratch[:m], &ws.scratchFilled
+	}
+	nd := &ws.probeNodes[n]
+	return ws.probeRows[nd.row : int(nd.row)+m], &nd.filled
 }
 
 // workspacePool shares workspaces across all solver instances. sync.Pool

@@ -155,7 +155,7 @@ var runShard = Run
 // each independently: every shard gets its own MBS capacity slice, sensing
 // fusion domain, and seed stream (ShardSeed). Shards are grouped into
 // opts.Parallel.Shards grid tasks — contiguous component ranges weighted by
-// user count (shardBounds) — executed over opts.Parallel.Workers
+// estimated cost (shardBounds) — executed over opts.Parallel.Workers
 // workers via par.RunGrid; each task reduces its shards to fixed-size
 // summaries in place, and after the join the summaries fold in ascending
 // component order, so the result is bitwise-identical for any Workers and
@@ -236,28 +236,47 @@ func RunSharded(net *netmodel.Network, opts Options) (*ShardedResult, error) {
 	return out, nil
 }
 
+// Shard cost model for shardBounds, in microseconds of one shard run:
+// every component pays a fixed engine cost (construction, sensing, the
+// per-slot front half and realization) plus a per-user term for its share
+// of the slot solve. Least squares over the measured per-shard times of
+// 1- to 9-user non-interfering components (ShardTiming.ShardNS, 6 GOPs,
+// 2-vCPU Intel Xeon KVM guest) gave about 4.0 ms + 0.7 ms per user: a
+// 9-user component costs roughly twice a 1-user one, not nine times.
+const (
+	shardCostBase    = 4000
+	shardCostPerUser = 700
+)
+
+// shardCost is the shardBounds weight of one component.
+func shardCost(s *netmodel.Shard) int64 {
+	return shardCostBase + shardCostPerUser*int64(len(s.Users))
+}
+
 // shardBounds splits the components into groups contiguous ranges
-// [bounds[g], bounds[g+1]) balanced by user count rather than component
-// count. The previous equal-count ranges packed skewed components
-// arbitrarily: one task could own every heavy component while its siblings
-// drew the light ones, and MaxTaskNS — the critical path IdealSpeedup
-// divides by — grew to match. This is the classic minimax contiguous
-// partition (painter's problem), solved exactly: binary search on the
-// heaviest-task cap with a greedy feasibility count, then a greedy packing
-// under the minimal cap. Integer arithmetic throughout, one call per run —
-// nowhere near the hot path. The cap never sits below the heaviest single
-// component, so the tail clamp (each remaining task takes one component)
-// cannot push a task over it; EffectiveShards guarantees groups never
-// exceeds the component count, making every task nonempty. Only the
-// grouping changes: summaries still land in component-indexed slots and
-// fold in ascending component order, so the quality results stay
-// bitwise-identical for any grouping, as before.
+// [bounds[g], bounds[g+1]) balanced by estimated cost (shardCost) rather
+// than component count. Equal-count ranges pack skewed components
+// arbitrarily: one task can own every heavy component while its siblings
+// draw the light ones, and MaxTaskNS — the critical path IdealSpeedup
+// divides by — grows to match. The fixed per-component term matters as
+// much: without it a dense component would be isolated while its sibling
+// task took every light one, whose fixed costs dominate. This is the
+// classic minimax contiguous partition (painter's problem), solved
+// exactly: binary search on the heaviest-task cap with a greedy
+// feasibility count, then a greedy packing under the minimal cap. Integer
+// arithmetic throughout, one call per run — nowhere near the hot path. The
+// cap never sits below the heaviest single component, so the tail clamp
+// (each remaining task takes one component) cannot push a task over it;
+// EffectiveShards guarantees groups never exceeds the component count,
+// making every task nonempty. Only the grouping changes: summaries still
+// land in component-indexed slots and fold in ascending component order,
+// so the quality results stay bitwise-identical for any grouping.
 func shardBounds(shards []netmodel.Shard, groups int) []int {
 	n := len(shards)
 	weights := make([]int64, n)
 	var total, heaviest int64
 	for c := range shards {
-		w := int64(len(shards[c].Users))
+		w := shardCost(&shards[c])
 		weights[c] = w
 		total += w
 		if w > heaviest {

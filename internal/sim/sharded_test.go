@@ -190,10 +190,11 @@ func maxRangeWeight(weights []int64, bounds []int) int64 {
 }
 
 // TestShardBoundsBalanceUserWeight pins the shard-imbalance fix: grouping
-// must weight contiguous component ranges by user count, not component
-// count. On a skewed population the heaviest task's user load must never
-// exceed the equal-count grouping's, and on the canonical metro skew (one
-// dense downtown component among light suburbs) it must strictly improve.
+// must weight contiguous component ranges by the shard cost model — a
+// fixed per-component cost plus a per-user term — not by component count.
+// Under that model the heaviest task's load must never exceed the
+// equal-count grouping's on any population, and on a dense downtown skew
+// (one 24-user component among light suburbs) it must strictly improve.
 // Structural invariants: bounds strictly increase (every task nonempty,
 // possible since groups <= components) and cover every component exactly.
 func TestShardBoundsBalanceUserWeight(t *testing.T) {
@@ -207,12 +208,13 @@ func TestShardBoundsBalanceUserWeight(t *testing.T) {
 	weightsOf := func(counts []int) []int64 {
 		w := make([]int64, len(counts))
 		for i, k := range counts {
-			w[i] = int64(k)
+			w[i] = shardCostBase + shardCostPerUser*int64(k)
 		}
 		return w
 	}
 	populations := [][]int{
-		{9, 1, 1, 1, 1},          // dense downtown, light suburbs
+		{9, 1, 1, 1, 1},          // dense cell, light suburbs
+		{24, 1, 1, 1, 1},         // dense downtown, light suburbs
 		{1, 1, 1, 9, 1, 1, 1, 8}, // heavy components mid- and tail-range
 		{3, 3, 3, 3, 3, 3},       // uniform: weighted must not do worse
 		{1, 30, 1},               // one giant component dominates everything
@@ -239,10 +241,10 @@ func TestShardBoundsBalanceUserWeight(t *testing.T) {
 			}
 		}
 	}
-	// The canonical skew must strictly improve: equal-count at 2 groups
-	// packs the 9-user component with a suburb (10 vs 3); weighted isolates
-	// it (9 vs 4).
-	skew := []int{9, 1, 1, 1, 1}
+	// The dense downtown skew must strictly improve: equal-count at 2
+	// groups packs the 24-user component with a suburb (4+16.8+4+0.7 ms vs
+	// 3 x 4.7 ms); the cost model isolates it (20.8 ms vs 4 x 4.7 ms).
+	skew := []int{24, 1, 1, 1, 1}
 	got := maxRangeWeight(weightsOf(skew), shardBounds(mkShards(skew), 2))
 	ref := maxRangeWeight(weightsOf(skew), equalCountBounds(len(skew), 2))
 	if got >= ref {

@@ -17,9 +17,14 @@
 #   7. perfbench     — the benchmark module's own tests (a separate module,
 #                     so step 6 skips it): its traced layer replays must
 #                     match sim.Run and packetsim.Run bit for bit
-#   8. metro smoke   — a quick-scale generated metro through the sharded
+#   8. reference smoke — one traced 1 s perfbench run per paper workload
+#                     (paper-single, paper-interfering, packet-single); each
+#                     must report "failed":0, i.e. bitwise psnr_db against
+#                     perfbench/reference.json, the traced replay and the
+#                     Theorem 2 floor all held end to end
+#   9. metro smoke   — a quick-scale generated metro through the sharded
 #                     engine end to end (femtosim -scenario metro)
-#   9. warm smoke    — a warm-started dual run through femtosim must report
+#  10. warm smoke    — a warm-started dual run through femtosim must report
 #                     the bitwise-identical full-precision PSNR as the cold
 #                     run (the warm-start correctness contract, end to end)
 #
@@ -70,6 +75,18 @@ GOMAXPROCS=4 go test -race ./...
 
 echo "==> perfbench tests (separate module; replays pinned to the engines)"
 (cd perfbench && go test -short -count=1 ./...)
+
+echo "==> perfbench reference smoke (traced runs must report \"failed\":0)"
+for w in paper-single paper-interfering packet-single; do
+    result=$(bash perfbench/run.sh --workload "$w" --seed 7 --seconds 1 --trace 1 | tail -n 1)
+    case "$result" in
+    *'"failed":0,'*) ;;
+    *)
+        echo "perfbench $w: run failed or reported failures: ${result:0:200}" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "==> metro smoke (sharded engine end to end through femtosim)"
 go run ./cmd/femtosim -scenario metro -metro-fbs 24 -metro-users 2 \
