@@ -95,10 +95,12 @@ func TestGreedyAllocateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestGreedyAllocateAtProbeCapSteadyStateAllocs pins the probe-row cache's
-// cap: once a workspace's row arena has grown to probeRowCap, further
-// walks run uncached on the scratch row instead of growing it, so an
-// Allocate large enough to fill the arena stays within the same budget.
+// TestGreedyAllocateAtProbeCapSteadyStateAllocs pins the probe caches'
+// caps: once a workspace's row arena has grown to probeRowCap, further
+// walks run uncached on the scratch row instead of growing it, and once
+// its certificate bound arena has grown to probeBoundCap, further roots
+// store no certificate, so an Allocate large enough to fill both arenas
+// stays within the same budget.
 func TestGreedyAllocateAtProbeCapSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -112,6 +114,9 @@ func TestGreedyAllocateAtProbeCapSteadyStateAllocs(t *testing.T) {
 	}
 	if m := len(ws.byFBS[1]); len(ws.probeRows)+m <= probeRowCap {
 		t.Fatalf("Allocate left %d of %d row entries in use; the problem does not reach the cap", len(ws.probeRows), probeRowCap)
+	}
+	if m := len(ws.byFBS[1]); len(ws.probeBounds)+2*m <= probeBoundCap {
+		t.Fatalf("Allocate left %d of %d certificate bounds in use; the problem does not reach the cap", len(ws.probeBounds), probeBoundCap)
 	}
 	if _, err := g.Allocate(p); err != nil { // warm the pool
 		t.Fatal(err)
@@ -127,7 +132,8 @@ func TestGreedyAllocateAtProbeCapSteadyStateAllocs(t *testing.T) {
 }
 
 // probeCapProblem is a three-FBS path with 60 users per cell: its Q
-// evaluations fill the probe-row arena within one Allocate.
+// evaluations fill the probe-row and certificate bound arenas within one
+// Allocate.
 func probeCapProblem() *ChannelProblem {
 	p := interferingProblem(rng.New(8), 8)
 	p.Base = randomInstance(rng.New(9), 180, 3)

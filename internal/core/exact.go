@@ -327,19 +327,16 @@ const lambdaFloor = 1e-15
 // choice as a bitmask (bit b set = member b prefers the MBS at the returned
 // price). Demand is non-increasing in the band price: shares shrink and
 // users defect to the MBS as it rises. The MBS branch values depend only on
-// l0, so they are computed once per call. ws must hold the solve's
-// prepareUsers views and groupByFBS member lists.
+// l0, so they are computed once per call into gV0. ws must hold the
+// solve's prepareUsers views and groupByFBS member lists.
 //
 // The (price, mask) pair is a pure function of (i, l0, G_i) for a fixed
 // base instance, so results are memoized in the workspace: the greedy
 // allocator's Q evaluations perturb G at a single FBS per candidate,
 // leaving every other FBS's inner bisection — the dominant cost of the
-// solve — to be answered from the memo. A memo miss still walks the probe
-// trie of (i, G_i) (see solveWorkspace.probeRoots), so only prices no
-// earlier walk reached pay for branch values. Demand totals are only ever
-// compared against the unit budget, so the accumulation loops exit as soon
-// as the (nonnegative) partial sum crosses it: the remaining terms cannot
-// bring it back, making the early exit decision-identical.
+// solve — to be answered from the memo. A memo miss goes to walkFBS, which
+// answers from a walk certificate of the (i, G_i) trie when gV0 lies in
+// its box and walks the probe trie otherwise.
 //
 //femtovet:hotpath
 //femtovet:borrows in
@@ -352,23 +349,72 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 			return li, mask
 		}
 	}
-	// Gather the members' columns once per miss: the probes below then
+	ws.gV0 = growF(ws.gV0, len(members))
+	for b, j := range members {
+		ws.gV0[b], _ = ws.u0[j].branchAndRhoWR(l0, ws.logW[j], ws.wr0[j], ws.bl0[j])
+	}
+	li, mask := ws.walkFBS(i, gi, iters)
+	if memoable {
+		ws.eqMemoPut(i, l0, gi, li, mask)
+	}
+	return li, mask
+}
+
+// walkFBS runs FBS i's inner bisection at expected channels gi against the
+// members' MBS branch values in ws.gV0, returning the price and mask
+// equilibriumFBS describes.
+//
+// The walk reads the probe trie of (i, G_i) (see solveWorkspace.probeRoots),
+// so only prices no earlier walk reached pay for branch values. Demand
+// totals are only ever compared against the unit budget, so the
+// accumulation loops exit as soon as the (nonnegative) partial sum crosses
+// it: the remaining terms cannot bring it back, making the early exit
+// decision-identical.
+//
+// The walk depends on gV0 only through the comparisons row[b].bv >= gV0[b]
+// of the demand sums and gV0[b] > row[b].bv of the final mask loop, on the
+// entries it reads. Each walk therefore records a box, one interval
+// (lo_b, hi_b] per member: lo_b is the largest branch value either
+// comparison found below gV0[b], hi_b the smallest one found at or above
+// it. Any later gV0 inside the box makes every one of
+// those comparisons the same way, so it sums the same floats in the same
+// order, follows the same path and returns the same (price, mask): the box
+// is a certificate, and a hit returns the pair without walking. A NaN
+// compares false either way and narrows no bound, and a NaN gV0 never
+// lies inside a box. The trie root keeps the two most recent certificates
+// (near convergence the outer probes alternate between two association
+// regimes); like the memo they assume one iters per epoch.
+//
+//femtovet:hotpath
+func (ws *solveWorkspace) walkFBS(i int, gi float64, iters int) (float64, uint64) {
+	members := ws.byFBS[i]
+	m := len(members)
+	gV0 := ws.gV0[:m]
+	r := ws.probeRootOf(i, gi, m)
+	if li, mask, ok := ws.probeCertHit(r, gV0); ok {
+		return li, mask
+	}
+	// Gather the members' columns once per walk: the probes below then
 	// walk contiguous copies instead of chasing member indices through the
 	// per-user columns. Same values, same member order, same operations —
 	// bit-identical.
-	m := len(members)
 	ws.gU = growU(ws.gU, m)
 	ws.gLogW = growF(ws.gLogW, m)
 	ws.gWR = growF(ws.gWR, m)
 	ws.gBL = growF(ws.gBL, m)
-	ws.gV0 = growF(ws.gV0, m)
-	gU, gLogW, gWR, gBL, gV0 := ws.gU, ws.gLogW, ws.gWR, ws.gBL, ws.gV0
+	gU, gLogW, gWR, gBL := ws.gU, ws.gLogW, ws.gWR, ws.gBL
 	for b, j := range members {
 		gU[b] = ws.u1[j]
 		gLogW[b] = ws.logW[j]
 		gWR[b] = ws.wr1[j]
 		gBL[b] = ws.bl1[j]
-		gV0[b], _ = ws.u0[j].branchAndRhoWR(l0, ws.logW[j], ws.wr0[j], ws.bl0[j])
+	}
+	if cap(ws.boundScratch) < m {
+		ws.boundScratch = make([]probeBound, m)
+	}
+	box := ws.boundScratch[:m]
+	for b := range box {
+		box[b] = probeBound{lo: math.Inf(-1), hi: math.Inf(1)}
 	}
 	// over reports whether demand at price li exceeds the unit budget. The
 	// probe sequence below is a function of the outcomes alone, so each
@@ -376,7 +422,10 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 	// outcome selects; node then holds li's row, whose entries are read
 	// where cached and computed (and cached) where not. last is the node
 	// of the latest probe with demand <= 1 — the price the search returns.
-	node := ws.probeRootOf(i, gi, m)
+	node := int32(-1)
+	if r >= 0 {
+		node = ws.probeRoots[r].node
+	}
 	last, step := node, -1
 	over := func(li float64) bool {
 		if step >= 0 {
@@ -390,12 +439,17 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 				row[b].bv, row[b].rho = gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
 				f++
 			}
-			if row[b].bv >= gV0[b] {
+			if bv := row[b].bv; bv >= gV0[b] {
+				if bv < box[b].hi {
+					box[b].hi = bv
+				}
 				total += row[b].rho
 				if total > 1 {
 					exceeded = true
 					break
 				}
+			} else if bv > box[b].lo {
+				box[b].lo = bv
 			}
 		}
 		*filled = int32(f)
@@ -436,12 +490,15 @@ func (ws *solveWorkspace) equilibriumFBS(in *Instance, i int, l0 float64, iters 
 			row[b].bv, row[b].rho = gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
 			*filled++
 		}
-		if gV0[b] > row[b].bv {
+		if bv := row[b].bv; gV0[b] > bv {
 			mask |= 1 << uint(b)
+			if bv > box[b].lo {
+				box[b].lo = bv
+			}
+		} else if bv < box[b].hi {
+			box[b].hi = bv
 		}
 	}
-	if memoable {
-		ws.eqMemoPut(i, l0, gi, li, mask)
-	}
+	ws.putProbeCert(r, li, mask, box)
 	return li, mask
 }

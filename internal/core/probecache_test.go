@@ -1,13 +1,16 @@
 package core
 
 // Bit-identity gates for the inner-bisection probe-row cache (see
-// solveWorkspace.probeRoots). refEquilibrium is the per-FBS search as it
-// was before the cache: every probe recomputes every member's branch value
-// and share. The tests run the cached search and the reference on their
+// solveWorkspace.probeRoots) and the walk certificates (see walkFBS).
+// refEquilibrium is the per-FBS search as it was before either: every
+// probe recomputes every member's branch value and share, and every memo
+// miss walks. The tests run the cached search and the reference on their
 // own workspaces over the same call sequences — several expected-channel
 // vectors per epoch, as the greedy allocator's Q evaluations issue them —
 // and require every (lambda_i, mask) pair and every final Allocation to
-// match bit for bit.
+// match bit for bit. The walk-level tests feed walkFBS chosen MBS branch
+// values (certificate bounds, NaN, infinities, signed zeros) and compare
+// it with refWalk on the same workspace columns.
 
 import (
 	"math"
@@ -38,70 +41,81 @@ func refEquilibrium(st *refStats) fbsEquilibrium {
 				return li, mask
 			}
 		}
-		m := len(members)
-		gU := make([]waterfillUser, m)
-		gLogW := make([]float64, m)
-		gWR := make([]float64, m)
-		gBL := make([]float64, m)
-		gV0 := make([]float64, m)
+		gV0 := make([]float64, len(members))
 		for b, j := range members {
-			gU[b] = ws.u1[j]
-			gLogW[b] = ws.logW[j]
-			gWR[b] = ws.wr1[j]
-			gBL[b] = ws.bl1[j]
 			gV0[b], _ = ws.u0[j].branchAndRhoWR(l0, ws.logW[j], ws.wr0[j], ws.bl0[j])
 		}
-		demand := func(li float64) float64 {
-			total := 0.0
-			for b := range gU {
-				bv, rho := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
-				if bv >= gV0[b] {
-					total += rho
-					if total > 1 {
-						return total
-					}
-				}
-			}
-			return total
-		}
-		li := lambdaFloor
-		if demand(li) > 1 {
-			hi := 0.0
-			for b := range gU {
-				hi += gU[b].ps
-			}
-			if hi > li {
-				for demand(hi) > 1 {
-					st.expansions++
-					hi *= 2
-				}
-				lo := li
-				for it := 0; it < iters; it++ {
-					mid := 0.5 * (lo + hi)
-					if demand(mid) > 1 {
-						lo = mid
-					} else {
-						hi = mid
-					}
-				}
-				li = hi
-			}
-		}
-		if li == lambdaFloor {
-			st.floorReturns++
-		}
-		var mask uint64
-		for b := range gU {
-			bv, _ := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
-			if gV0[b] > bv {
-				mask |= 1 << uint(b)
-			}
-		}
+		li, mask := refWalk(ws, i, gV0, iters, st)
 		if memoable {
 			ws.eqMemoPut(i, l0, gi, li, mask)
 		}
 		return li, mask
 	}
+}
+
+// refWalk is the uncached inner bisection of FBS i against the members'
+// MBS branch values gV0. It reads ws's per-user columns and nothing else
+// of the workspace.
+func refWalk(ws *solveWorkspace, i int, gV0 []float64, iters int, st *refStats) (float64, uint64) {
+	members := ws.byFBS[i]
+	m := len(members)
+	gU := make([]waterfillUser, m)
+	gLogW := make([]float64, m)
+	gWR := make([]float64, m)
+	gBL := make([]float64, m)
+	for b, j := range members {
+		gU[b] = ws.u1[j]
+		gLogW[b] = ws.logW[j]
+		gWR[b] = ws.wr1[j]
+		gBL[b] = ws.bl1[j]
+	}
+	demand := func(li float64) float64 {
+		total := 0.0
+		for b := range gU {
+			bv, rho := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
+			if bv >= gV0[b] {
+				total += rho
+				if total > 1 {
+					return total
+				}
+			}
+		}
+		return total
+	}
+	li := lambdaFloor
+	if demand(li) > 1 {
+		hi := 0.0
+		for b := range gU {
+			hi += gU[b].ps
+		}
+		if hi > li {
+			for demand(hi) > 1 {
+				st.expansions++
+				hi *= 2
+			}
+			lo := li
+			for it := 0; it < iters; it++ {
+				mid := 0.5 * (lo + hi)
+				if demand(mid) > 1 {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			li = hi
+		}
+	}
+	if li == lambdaFloor {
+		st.floorReturns++
+	}
+	var mask uint64
+	for b := range gU {
+		bv, _ := gU[b].branchAndRhoWR(li, gLogW[b], gWR[b], gBL[b])
+		if gV0[b] > bv {
+			mask |= 1 << uint(b)
+		}
+	}
+	return li, mask
 }
 
 // probePair runs the cached solver and the reference side by side, each
@@ -112,6 +126,9 @@ type probePair struct {
 	cached *solveWorkspace
 	ref    *solveWorkspace
 	st     refStats
+	// certHits counts the per-l0 calls of solve that a walk certificate
+	// answered.
+	certHits int
 }
 
 func newProbePair(t *testing.T) *probePair {
@@ -147,11 +164,16 @@ func (p *probePair) solve(in *Instance, l0s []float64) {
 	ref := refEquilibrium(&p.st)
 	for i := 1; i <= in.N(); i++ {
 		for _, l0 := range l0s {
+			_, _, memoHit := p.cached.eqMemoGet(i, l0, in.G[i-1])
+			before, had := findRoot(p.cached, i, in.G[i-1])
 			li, mask := p.cached.equilibriumFBS(in, i, l0, 45)
 			wantLi, wantMask := ref(p.ref, in, i, l0, 45)
 			if math.Float64bits(li) != math.Float64bits(wantLi) || mask != wantMask {
 				p.t.Fatalf("FBS %d at l0=%v G=%v: cached (%v, %#x), reference (%v, %#x)",
 					i, l0, in.G[i-1], li, mask, wantLi, wantMask)
+			}
+			if after, _ := findRoot(p.cached, i, in.G[i-1]); !memoHit && certAnswered(had, before, after) {
+				p.certHits++
 			}
 		}
 	}
@@ -163,7 +185,10 @@ func (p *probePair) solve(in *Instance, l0s []float64) {
 func (p *probePair) greedyLike(in *Instance, s *rng.Stream, deltas []float64) {
 	p.t.Helper()
 	base := append([]float64(nil), in.G...)
-	l0s := []float64{lambdaFloor, 1e-3, 0.05, 0.3 + s.Float64(), 5}
+	// Neighbouring common prices, like the outer bisection's late probes,
+	// give the walk certificates something to answer.
+	x := 0.3 + s.Float64()
+	l0s := []float64{lambdaFloor, 1e-3, 0.05, x, x * (1 + 1e-9), x * (1 - 1e-9), 5}
 	p.solve(in, l0s)
 	for i := range base {
 		for _, d := range deltas {
@@ -241,6 +266,23 @@ func checkTries(t *testing.T, ws *solveWorkspace, in *Instance) {
 	}
 }
 
+// findRoot returns the probe root of (fbs, g) in ws's current epoch.
+func findRoot(ws *solveWorkspace, fbs int, g float64) (probeRoot, bool) {
+	for _, r := range ws.probeRoots {
+		if r.epoch == ws.eqEpoch && int(r.fbs) == fbs && r.g == math.Float64bits(g) {
+			return r, true
+		}
+	}
+	return probeRoot{}, false
+}
+
+// certAnswered reports whether a walkFBS call that saw the root before and
+// left it after was answered by a certificate: a walk on a root with a
+// certificate always stores a new one, a hit changes nothing.
+func certAnswered(had bool, before, after probeRoot) bool {
+	return had && before.certs[0].ok && after == before
+}
+
 func TestProbeCacheBitIdenticalRandom(t *testing.T) {
 	s := rng.New(14)
 	p := newProbePair(t)
@@ -265,6 +307,9 @@ func TestProbeCacheBitIdenticalRandom(t *testing.T) {
 	}
 	if p.st.floorReturns == 0 {
 		t.Fatal("no search returned the price floor; the lambda-floor path is uncovered")
+	}
+	if p.certHits == 0 {
+		t.Fatal("no walk certificate answered a call; the certificates are uncovered")
 	}
 }
 
@@ -329,6 +374,12 @@ func TestProbeCacheBitIdenticalOverCap(t *testing.T) {
 	in.G[0], in.G[1] = 2.25, 3.75
 	p.solve(in, []float64{lambdaFloor, 1e-3, 0.05, 0.7})
 	checkTries(t, p.cached, in)
+	// Without a root those walks had nowhere to store a certificate.
+	for i, g := range in.G {
+		if r, ok := findRoot(p.cached, i+1, g); ok {
+			t.Fatalf("FBS %d got a trie root past the cap: %+v", i+1, r)
+		}
+	}
 }
 
 // TestProbeCacheEpochWraparound forces eqEpoch through its uint32
@@ -363,4 +414,221 @@ func TestProbeCacheEpochWraparound(t *testing.T) {
 	copy(second.G, first.G)
 	p.solve(second, []float64{1e-3, 0.05})
 	checkTries(t, p.cached, second)
+}
+
+// walkPrep starts a fresh epoch on ws and loads in's per-user columns and
+// member lists, as a solve does before its first walk.
+func walkPrep(ws *solveWorkspace, in *Instance) {
+	ws.bumpEqEpoch()
+	ws.prepareUsers(in)
+	ws.groupByFBS(in)
+}
+
+// mbsValues returns FBS i's members' MBS branch values at common price l0,
+// the gV0 equilibriumFBS hands walkFBS.
+func mbsValues(ws *solveWorkspace, i int, l0 float64) []float64 {
+	gV0 := make([]float64, len(ws.byFBS[i]))
+	for b, j := range ws.byFBS[i] {
+		gV0[b], _ = ws.u0[j].branchAndRhoWR(l0, ws.logW[j], ws.wr0[j], ws.bl0[j])
+	}
+	return gV0
+}
+
+// walkCheck runs walkFBS of FBS i against gV0 and fails unless it matches
+// refWalk bit for bit. It reports whether a certificate answered.
+func walkCheck(t *testing.T, ws *solveWorkspace, in *Instance, i int, gV0 []float64) bool {
+	t.Helper()
+	g := in.G[i-1]
+	before, had := findRoot(ws, i, g)
+	ws.gV0 = append(ws.gV0[:0], gV0...)
+	li, mask := ws.walkFBS(i, g, 45)
+	var st refStats
+	wantLi, wantMask := refWalk(ws, i, gV0, 45, &st)
+	if math.Float64bits(li) != math.Float64bits(wantLi) || mask != wantMask {
+		t.Fatalf("FBS %d gV0=%v: cached (%v, %#x), reference (%v, %#x)", i, gV0, li, mask, wantLi, wantMask)
+	}
+	after, _ := findRoot(ws, i, g)
+	return certAnswered(had, before, after)
+}
+
+// TestWalkCertBoundaries pins each end of every member's certificate
+// interval (lo, hi]: gV0[b] = lo and the next float above hi walk again,
+// gV0[b] = hi and the next float above lo are answered by the certificate,
+// and every answer matches the reference walk. Trial 0 has 70 members, past
+// the memo's 64-bit mask.
+func TestWalkCertBoundaries(t *testing.T) {
+	s := rng.New(21)
+	ws := new(solveWorkspace)
+	checked := 0
+	for trial := 0; trial < 10; trial++ {
+		k := 2 + s.IntN(10)
+		if trial == 0 {
+			k = 70
+		}
+		in := randomInstance(s, k, 1)
+		walkPrep(ws, in)
+		base := mbsValues(ws, 1, 0.05+s.Float64())
+		walkCheck(t, ws, in, 1, base)
+		r, _ := findRoot(ws, 1, in.G[0])
+		if !r.certs[0].ok {
+			t.Fatal("the first walk stored no certificate")
+		}
+		box := append([]probeBound(nil), ws.probeBounds[r.bounds:int(r.bounds)+k]...)
+		for b, bd := range box {
+			for _, q := range []struct {
+				x   float64
+				hit bool
+			}{
+				{bd.lo, false},
+				{math.Nextafter(bd.lo, math.Inf(1)), true},
+				{bd.hi, true},
+				{math.Nextafter(bd.hi, math.Inf(1)), false},
+			} {
+				if math.IsInf(q.x, 0) {
+					continue
+				}
+				x := append([]float64(nil), base...)
+				x[b] = q.x
+				walkPrep(ws, in)
+				walkCheck(t, ws, in, 1, base)
+				if hit := walkCheck(t, ws, in, 1, x); hit != q.hit {
+					t.Fatalf("trial %d member %d: gV0 %v against (%v, %v]: certificate hit %v, want %v",
+						trial, b, q.x, bd.lo, bd.hi, hit, q.hit)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no finite certificate bound was checked")
+	}
+}
+
+// TestWalkCertSpecialValues walks MBS branch values of NaN, ±Inf, ±0 and
+// ±MaxFloat64 at every member, in one epoch so that each walk meets the
+// certificates the earlier ones left, including those of NaN walks. One
+// member's zero-share branch value is NaN, so cached rows hold NaN, and
+// one member has log(W) = 0, so its zero-share branch value is +0 and the
+// signed zeros land exactly on a threshold.
+func TestWalkCertSpecialValues(t *testing.T) {
+	in := randomInstance(rng.New(22), 8, 1)
+	in.W[2] = 1
+	ws := new(solveWorkspace)
+	walkPrep(ws, in)
+	ws.bl1[5] = math.NaN()
+	base := mbsValues(ws, 1, 0.2)
+	specials := []float64{
+		math.NaN(), math.MaxFloat64, math.Inf(1), -math.MaxFloat64, math.Inf(-1),
+		0, math.Copysign(0, -1), math.NaN(), -math.MaxFloat64,
+	}
+	hits := 0
+	for pass := 0; pass < 2; pass++ {
+		for b := range base {
+			for _, v := range specials {
+				x := append([]float64(nil), base...)
+				x[b] = v
+				if walkCheck(t, ws, in, 1, x) {
+					hits++
+				}
+				if walkCheck(t, ws, in, 1, base) {
+					hits++
+				}
+			}
+		}
+		walkPrep(ws, in)
+		ws.bl1[5] = math.NaN()
+	}
+	if hits == 0 {
+		t.Fatal("no certificate answered a call")
+	}
+	// Every member's MBS value NaN at once, then finite again.
+	nan := make([]float64, len(base))
+	for b := range nan {
+		nan[b] = math.NaN()
+	}
+	walkCheck(t, ws, in, 1, nan)
+	walkCheck(t, ws, in, 1, base)
+
+	// The NaN rows were really cached, and no bound is NaN.
+	sawNaN := false
+	for _, e := range ws.probeRows {
+		sawNaN = sawNaN || math.IsNaN(e.bv)
+	}
+	if !sawNaN {
+		t.Fatal("no cached branch value is NaN")
+	}
+	for i, bd := range ws.probeBounds {
+		if math.IsNaN(bd.lo) || math.IsNaN(bd.hi) {
+			t.Fatalf("certificate bound %d is NaN: %+v", i, bd)
+		}
+	}
+}
+
+// TestWalkCertBoundArenaCap fills the certificate bound arena within one
+// epoch: roots created past its cap store no certificate and still match
+// the reference. Tight encoding ceilings make every inner search clear at
+// the price floor, so each root adds one row but two boxes, and the bound
+// arena fills before the row arena.
+func TestWalkCertBoundArenaCap(t *testing.T) {
+	s := rng.New(23)
+	in := randomInstance(s, 120, 2)
+	in.WMax = make([]float64, in.K())
+	for j := range in.WMax {
+		in.WMax[j] = in.W[j] + 1e-3
+	}
+	p := newProbePair(t)
+	l0s := []float64{1e-3, 0.05}
+	p.solve(in, l0s)
+	m := len(p.cached.byFBS[1])
+	for trial := 0; trial < 200 && len(p.cached.probeBounds)+2*m <= probeBoundCap; trial++ {
+		in.G[0] = 0.5 + 4*s.Float64()
+		p.solve(in, l0s)
+	}
+	if len(p.cached.probeBounds)+2*m <= probeBoundCap {
+		t.Fatalf("bound arena holds %d of %d entries; the cap was never reached", len(p.cached.probeBounds), probeBoundCap)
+	}
+	in.G[0] = 9.5
+	p.solve(in, append(l0s, 0.3))
+	r, ok := findRoot(p.cached, 1, in.G[0])
+	if !ok {
+		t.Fatal("no trie root for the new G_1")
+	}
+	if r.bounds != -1 || r.certs[0].ok || r.certs[1].ok {
+		t.Fatalf("a root past the bound cap stored a certificate: %+v", r)
+	}
+	if len(p.cached.probeBounds) > probeBoundCap {
+		t.Fatalf("bound arena holds %d entries, cap %d", len(p.cached.probeBounds), probeBoundCap)
+	}
+}
+
+// TestWalkCertEpochBump solves two instances that differ only on the FBS
+// side (R1, PS1) in consecutive epochs, once by a plain bump and once
+// through the uint32 wraparound. Their MBS branch values, FBS indices and
+// G match, so a certificate surviving the bump would be found under the
+// same key, hold the same gV0 and answer with the first instance's price.
+func TestWalkCertEpochBump(t *testing.T) {
+	s := rng.New(24)
+	first := randomInstance(s, 9, 1)
+	second := randomInstance(s, 9, 1)
+	copy(second.W, first.W)
+	copy(second.R0, first.R0)
+	copy(second.PS0, first.PS0)
+	copy(second.G, first.G)
+	l0s := []float64{lambdaFloor, 1e-3, 0.05, 0.4, 0.4 * (1 + 1e-9)}
+	for _, wrap := range []bool{false, true} {
+		p := newProbePair(t)
+		p.solve(first, l0s)
+		if r, _ := findRoot(p.cached, 1, first.G[0]); !r.certs[0].ok {
+			t.Fatal("the first instance stored no certificate")
+		}
+		if wrap {
+			p.cached.eqEpoch = math.MaxUint32
+			p.ref.eqEpoch = math.MaxUint32
+		}
+		p.bump()
+		if len(p.cached.probeBounds) != 0 {
+			t.Fatalf("bound arena holds %d entries after the bump", len(p.cached.probeBounds))
+		}
+		p.solve(second, l0s)
+	}
 }

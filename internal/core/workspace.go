@@ -93,6 +93,16 @@ type solveWorkspace struct {
 	probeScratch  []probeEntry
 	scratchFilled int32
 
+	// Walk certificates (see walkFBS): each trie root keeps the boxes of
+	// its two most recent walks in probeBounds, 2m entries per root,
+	// truncated with the other arenas. A root's first walk adds ~iters
+	// m-entry rows, so probeBoundCap = probeRowCap/32 binds about when the
+	// row cap does; the benchmark workloads use at most ~200 entries per
+	// epoch. A walk records its box in boundScratch and copies it in if its
+	// root has a place for it.
+	probeBounds  []probeBound
+	boundScratch []probeBound
+
 	// polishRho0/polishRho1 snapshot an allocation's shares so a rejected
 	// association flip restores them instead of re-water-filling.
 	polishRho0, polishRho1 []float64
@@ -139,6 +149,7 @@ func (ws *solveWorkspace) bumpEqEpoch() {
 	}
 	ws.probeNodes = ws.probeNodes[:0]
 	ws.probeRows = ws.probeRows[:0]
+	ws.probeBounds = ws.probeBounds[:0]
 }
 
 // eqMemoGet looks up the memoized equilibrium of FBS fbs at common price
@@ -189,12 +200,29 @@ func (ws *solveWorkspace) eqMemoPut(fbs int, l0f, gf float64, li float64, mask u
 
 // probeRoot maps one (FBS, G_i) pair of the current epoch to the root of
 // its probe trie: the node of the lambda-floor probe every walk starts at.
+// It also holds the trie's two most recent walk certificates; certs[k]'s
+// box is the m probeBounds entries from bounds + k*m.
 type probeRoot struct {
-	g     uint64 // math.Float64bits of G_i
-	fbs   int32
-	node  int32
-	epoch uint32
+	g      uint64 // math.Float64bits of G_i
+	fbs    int32
+	node   int32
+	epoch  uint32
+	bounds int32 // -1 until the first certificate finds room
+	certs  [2]probeCert
+	next   uint8 // the certs slot the next walk overwrites
 }
+
+// probeCert is one walk's result, valid for any gV0 inside its box.
+type probeCert struct {
+	li   float64
+	mask uint64
+	ok   bool
+}
+
+// probeBound is one member's certificate interval (lo, hi]: every branch
+// value the walk compared against gV0[b] and found below it is <= lo, and
+// every one found at or above it is >= hi.
+type probeBound struct{ lo, hi float64 }
 
 // probeNode is one inner-bisection price of a probe trie. The price itself
 // is not stored: it is a function of the path from the root, which the
@@ -211,11 +239,12 @@ type probeEntry struct{ bv, rho float64 }
 const (
 	probeRootSize = 1024    // power of two
 	probeRowCap   = 1 << 16 // cached member entries per epoch (16 B each)
+	probeBoundCap = 1 << 11 // certificate bounds per epoch (16 B each)
 )
 
-// probeRootOf returns the trie root of FBS fbs, with m members, at
-// G_i = gf, creating it on a miss. It returns -1 when the walk must run
-// uncached: no epoch yet, no members, or the row arena is at its cap.
+// probeRootOf returns the probeRoots slot of FBS fbs, with m members, at
+// G_i = gf, creating the root on a miss. It returns -1 when the walk must
+// run uncached: no epoch yet, no members, or the row arena is at its cap.
 func (ws *solveWorkspace) probeRootOf(fbs int, gf float64, m int) int32 {
 	if ws.eqEpoch == 0 || m == 0 {
 		return -1
@@ -226,24 +255,26 @@ func (ws *solveWorkspace) probeRootOf(fbs int, gf float64, m int) int32 {
 	ws.probeRoots = ws.probeRoots[:probeRootSize]
 	g := math.Float64bits(gf)
 	h := eqMemoHash(int32(fbs), 0, g)
-	slot := &ws.probeRoots[h&(probeRootSize-1)]
+	slot := int32(h & (probeRootSize - 1))
 	for p := uint64(0); p < eqMemoProbe; p++ {
-		e := &ws.probeRoots[(h+p)&(probeRootSize-1)]
+		s := int32((h + p) & (probeRootSize - 1))
+		e := &ws.probeRoots[s]
 		if e.epoch != ws.eqEpoch {
-			slot = e
+			slot = s
 			break
 		}
 		if e.fbs == int32(fbs) && e.g == g {
-			return e.node
+			return s
 		}
 	}
 	// A full window overwrites its home slot; the evicted trie stays in the
 	// arena, unreachable, until the next epoch truncates it.
 	n := ws.newProbeNode(m)
-	if n >= 0 {
-		*slot = probeRoot{g: g, fbs: int32(fbs), node: n, epoch: ws.eqEpoch}
+	if n < 0 {
+		return -1
 	}
-	return n
+	ws.probeRoots[slot] = probeRoot{g: g, fbs: int32(fbs), node: n, epoch: ws.eqEpoch, bounds: -1}
+	return slot
 }
 
 // probeChild returns the node of the probe that follows node n after
@@ -292,6 +323,62 @@ func (ws *solveWorkspace) probeRow(n int32, m int) ([]probeEntry, *int32) {
 	}
 	nd := &ws.probeNodes[n]
 	return ws.probeRows[nd.row : int(nd.row)+m], &nd.filled
+}
+
+// probeCertHit returns the certificate of root r whose box holds gV0, if
+// any. A NaN in gV0 fails every box, and so does -Inf.
+func (ws *solveWorkspace) probeCertHit(r int32, gV0 []float64) (float64, uint64, bool) {
+	if r < 0 {
+		return 0, 0, false
+	}
+	rt := &ws.probeRoots[r]
+	m := len(gV0)
+	for k := range rt.certs {
+		c := &rt.certs[k]
+		if !c.ok {
+			continue
+		}
+		box := ws.probeBounds[int(rt.bounds)+k*m : int(rt.bounds)+(k+1)*m]
+		hit := true
+		for b, x := range gV0 {
+			if !(box[b].lo < x && x <= box[b].hi) {
+				hit = false
+				break
+			}
+		}
+		if hit {
+			return c.li, c.mask, true
+		}
+	}
+	return 0, 0, false
+}
+
+// putProbeCert stores a walk's result and box as root r's newest
+// certificate, replacing the older of its two. An uncached root stores
+// none, and neither does a root that finds the bound arena at its cap.
+func (ws *solveWorkspace) putProbeCert(r int32, li float64, mask uint64, box []probeBound) {
+	if r < 0 {
+		return
+	}
+	rt := &ws.probeRoots[r]
+	m := len(box)
+	if rt.bounds < 0 {
+		n := len(ws.probeBounds)
+		if n+2*m > probeBoundCap {
+			return
+		}
+		if cap(ws.probeBounds) < n+2*m {
+			grown := make([]probeBound, n, min(2*(n+2*m), probeBoundCap))
+			copy(grown, ws.probeBounds)
+			ws.probeBounds = grown
+		}
+		ws.probeBounds = ws.probeBounds[:n+2*m]
+		rt.bounds = int32(n)
+	}
+	k := int(rt.next)
+	copy(ws.probeBounds[int(rt.bounds)+k*m:int(rt.bounds)+(k+1)*m], box)
+	rt.certs[k] = probeCert{li: li, mask: mask, ok: true}
+	rt.next = uint8(1 - k)
 }
 
 // workspacePool shares workspaces across all solver instances. sync.Pool

@@ -1,14 +1,17 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"femtocr/internal/netmodel"
 	"femtocr/internal/stats"
@@ -125,18 +128,64 @@ func TestRunGridRunsEveryTaskOnce(t *testing.T) {
 	}
 }
 
+// failureGate makes the tasks a grid dispatches after its failing task
+// wait on that task. The failing task calls fail, which records its
+// worker's goroutine; every later task calls await, which returns once
+// that goroutine has exited. A worker records a task's failure and stores
+// the grid's stop flag before it exits, so a task released by await cannot
+// lead its worker to start another. Without the gate, tasks as short as
+// these can all be dispatched before the failure is recorded.
+type failureGate struct{ gid atomic.Int64 }
+
+func (g *failureGate) fail() { g.gid.Store(goroutineID()) }
+
+func (g *failureGate) await() {
+	buf := make([]byte, 1<<16)
+	for {
+		if id := g.gid.Load(); id != 0 {
+			n := runtime.Stack(buf, true)
+			for n == len(buf) {
+				buf = make([]byte, 2*len(buf))
+				n = runtime.Stack(buf, true)
+			}
+			if !bytes.Contains(buf[:n], []byte(fmt.Sprintf("goroutine %d [", id))) {
+				return
+			}
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// goroutineID parses the calling goroutine's ID from its stack header,
+// "goroutine N [running]:".
+func goroutineID() int64 {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	id, err := strconv.ParseInt(strings.Fields(string(buf[:n]))[1], 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
 // TestRunGridCancelsOnError checks the failure path: after the first task
 // error the remaining undispatched tasks are skipped, and the lowest-index
-// recorded error is surfaced.
+// recorded error is surfaced. Tasks after the failing index wait on the
+// failing task (failureGate).
 func TestRunGridCancelsOnError(t *testing.T) {
 	const n = 200
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var executed atomic.Int32
+		var gate failureGate
 		err := runGrid(n, workers, func(i int) error {
 			executed.Add(1)
 			if i == 5 {
+				gate.fail()
 				return fmt.Errorf("task %d: %w", i, boom)
+			}
+			if i > 5 {
+				gate.await()
 			}
 			return nil
 		})
@@ -232,14 +281,20 @@ func TestMergeSummaryMatchesSummarize(t *testing.T) {
 // TestRunGridRecoversPanic: a panicking task must come back as an error
 // naming the failing index — on both the sequential and pooled paths — not
 // as a process-killing stack trace. Run under -race this also proves the
-// recovery path itself is race-free.
+// recovery path itself is race-free. As in TestRunGridCancelsOnError, the
+// tasks after the panicking one wait on it (failureGate).
 func TestRunGridRecoversPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var executed atomic.Int32
+		var gate failureGate
 		err := runGrid(40, workers, func(i int) error {
 			executed.Add(1)
 			if i == 7 {
+				gate.fail()
 				panic("bad grid point")
+			}
+			if i > 7 {
+				gate.await()
 			}
 			return nil
 		})

@@ -17,11 +17,13 @@
 #   7. perfbench     — the benchmark module's own tests (a separate module,
 #                     so step 6 skips it): its traced layer replays must
 #                     match sim.Run and packetsim.Run bit for bit
-#   8. reference smoke — one traced 1 s perfbench run per paper workload
-#                     (paper-single, paper-interfering, packet-single); each
-#                     must report "failed":0, i.e. bitwise psnr_db against
-#                     perfbench/reference.json, the traced replay and the
-#                     Theorem 2 floor all held end to end
+#   8. reference smoke — one traced 1 s perfbench run per workload
+#                     (paper-single, paper-interfering, packet-single,
+#                     metro-poisson); each must report "failed":0, i.e.
+#                     bitwise psnr_db against perfbench/reference.json, the
+#                     traced replay and the Theorem 2 floor all held end to
+#                     end. metro-poisson is the bitwise check of the sharded
+#                     engine (sim.RunSharded) end to end
 #   9. metro smoke   — a quick-scale generated metro through the sharded
 #                     engine end to end (femtosim -scenario metro)
 #  10. warm smoke    — a warm-started dual run through femtosim must report
@@ -32,11 +34,11 @@
 # analyzer (step 4) and the AllocsPerRun pins in internal/core/alloc_test.go
 # and internal/sim/alloc_test.go (step 6).
 #
-# Both -race steps run with GOMAXPROCS=4: the CI container exposes a single
-# CPU (see the 1-CPU caveat the bench scripts record in BENCH_*.json), and
-# with GOMAXPROCS=1 goroutines barely interleave, so the race detector would
-# exercise almost none of the schedules it exists to catch. The override is
-# echoed into the CI log so a run's effective parallelism is auditable.
+# Both -race steps run with GOMAXPROCS=4, more Ps than the 1- or 2-CPU
+# containers CI runs on: with GOMAXPROCS at the CPU count goroutines barely
+# interleave, so the race detector would exercise few of the schedules it
+# exists to catch. The override is echoed into the CI log so a run's
+# effective parallelism is auditable.
 #
 # Opt-in extras:
 #   FEMTOCR_FUZZ=1  — also run short fuzz smoke passes (-fuzztime=10s) over
@@ -65,19 +67,19 @@ go build -o "$tmp/femtovet" ./cmd/femtovet
 "$tmp/femtovet" -baseline femtovet.baseline.json ./...
 
 echo "==> parallel determinism (workers=1/4/GOMAXPROCS, byte-identical figures)"
-echo "    GOMAXPROCS=4 (forced: 1-CPU runners don't interleave goroutines)"
+echo "    GOMAXPROCS=4 (forced: more Ps than CPUs, so goroutines interleave)"
 GOMAXPROCS=4 go test -race -run '^(TestParallelDeterminism|TestTopologyStudyDeterminism)$' \
     -count=1 ./internal/experiments
 
 echo "==> go test -race"
-echo "    GOMAXPROCS=4 (forced: 1-CPU runners don't interleave goroutines)"
+echo "    GOMAXPROCS=4 (forced: more Ps than CPUs, so goroutines interleave)"
 GOMAXPROCS=4 go test -race ./...
 
 echo "==> perfbench tests (separate module; replays pinned to the engines)"
 (cd perfbench && go test -short -count=1 ./...)
 
 echo "==> perfbench reference smoke (traced runs must report \"failed\":0)"
-for w in paper-single paper-interfering packet-single; do
+for w in paper-single paper-interfering packet-single metro-poisson; do
     result=$(bash perfbench/run.sh --workload "$w" --seed 7 --seconds 1 --trace 1 | tail -n 1)
     case "$result" in
     *'"failed":0,'*) ;;
