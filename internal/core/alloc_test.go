@@ -36,11 +36,19 @@ func TestSolveIntoSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	in := randomInstance(rng.New(3), 9, 3)
+	// Truncated after three iterations, the dual solver leaves a
+	// mis-association the polish repairs on in: its row pins the accepted
+	// flip's refresh of the rejection-certificate state.
+	truncated := NewDualSolver(WithMaxIter(3))
+	if dualPolishFlips(t, truncated, in) == 0 {
+		t.Fatal("the truncated dual solver's polish accepts no flip on this instance")
+	}
 	cases := []struct {
 		name   string
 		solver Solver
 	}{
 		{"dual", NewDualSolver()},
+		{"dual-polish-accepts", truncated},
 		{"equilibrium", &EquilibriumSolver{}},
 		{"bruteforce", &BruteForceSolver{}},
 		{"heuristic1", Heuristic1{}},

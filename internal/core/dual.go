@@ -490,14 +490,25 @@ func (d *DualSolver) repair(in *Instance, alloc *Allocation, lambda []float64, w
 // base-station association: flip one user at a time, re-water-fill the two
 // affected resources, keep strict improvements. It repairs mis-associations
 // left by a truncated dual iteration; at most maxRounds passes over the
-// users. The workspace must have prepareUsers already applied for this
-// instance (it supplies the water-filling views and cached log(W) terms).
+// users. alloc's shares must be fillResources' output for its association
+// on ws, whose prepareUsers must already have run for this instance (it
+// supplies the water-filling views, cached log(W) terms and fill prices).
 //
-// A rejected flip restores the snapshotted shares instead of re-running the
-// two water-fills: the fills are deterministic functions of the (restored)
-// association, and the invariant that the current shares always equal the
-// fills' output for the current association makes the copy byte-identical
-// to the recomputation — at half the cost, since most flips are rejected.
+// A rejected flip restores the snapshotted shares and prices instead of
+// re-running the two water-fills: the fills are deterministic functions of
+// the (restored) association, and the invariant that the current shares
+// always equal the fills' output for the current association makes the copy
+// byte-identical to the recomputation.
+//
+// Most flips are rejected, and most of those are decided without any
+// water-filling by a rejection certificate (certRejects): weak duality at
+// the current fill prices bounds what the flip can gain, and when that bound
+// plus a float-error margin cannot clear the 1e-12 acceptance threshold the
+// exact evaluation would reject the flip, so it is skipped. The skip changes
+// no output bit; flips the certificate cannot decide, including every NaN or
+// infinite bound, are evaluated exactly as before. DESIGN.md ("Rejection
+// certificates for the association polish") derives the bound and the
+// margin's error model.
 func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solveWorkspace) {
 	k := in.K()
 	cur := objectiveCached(in, alloc, ws.logW)
@@ -505,23 +516,32 @@ func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solve
 	ws.polishRho0 = save0
 	save1 := growF(ws.polishRho1, k)
 	ws.polishRho1 = save1
+	errObj := certInit(in, alloc, ws)
+	lam := ws.fillLam
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		for j := 0; j < k; j++ {
+			if certRejects(in, alloc, ws, j, errObj) {
+				continue
+			}
 			// Flipping user j only perturbs the common channel and its own
 			// FBS band; every other resource's water-filling is unchanged.
+			i := in.FBS[j]
 			copy(save0, alloc.Rho0)
 			copy(save1, alloc.Rho1)
+			l0, li := lam[0], lam[i]
 			alloc.MBS[j] = !alloc.MBS[j]
-			fillCommon(in, alloc, ws)
-			fillFBS(in, alloc, in.FBS[j], ws)
+			lam[0] = fillCommon(in, alloc, ws)
+			lam[i] = fillFBS(in, alloc, i, ws)
 			if v := objectiveCached(in, alloc, ws.logW); v > cur+1e-12 {
 				cur = v
 				improved = true
+				certRefresh(in, alloc, ws, i)
 			} else {
 				alloc.MBS[j] = !alloc.MBS[j]
 				copy(alloc.Rho0, save0)
 				copy(alloc.Rho1, save1)
+				lam[0], lam[i] = l0, li
 			}
 		}
 		if !improved {
@@ -530,12 +550,139 @@ func polishAssociation(in *Instance, alloc *Allocation, maxRounds int, ws *solve
 	}
 }
 
+// certUnit is the unit roundoff u = 2^-53 inflated by 2^-10, which absorbs
+// the rounding of the margin's own arithmetic and the higher-order terms the
+// error model drops (valid below 2^30 users).
+const certUnit = 0x1.004p-53
+
+// certInit sizes and fills the certificate state of every resource and
+// returns errObj, the error bound (in units of u) of the two objectiveCached
+// sums a flip decision compares, the current objective and the flipped one,
+// together with the rounding of cur+1e-12 and of the certificate test
+// itself. errObj holds for every association and every water-filled shares,
+// so one value serves the whole polish. With Λ = Σ|log W_j| and the prefix
+// weights w_0 = k-1, w_j = k-j that count the partial sums a term enters:
+//
+//	errObj = 2·Σ w_j|log W_j| + (2k+11)·X + 21·Λ + 4·Σ max(PS0_j, PS1_j) + 1,
+//
+// where X = 2·Σ_j max_s ps_j·r_j/W_j over j's two stations bounds
+// Σ_j ps_j·gain_j/W_j (a share is at most its resource's total, which is 1
+// plus rounding, bounded by 2).
+func certInit(in *Instance, alloc *Allocation, ws *solveWorkspace) float64 {
+	k, nRes := in.K(), in.N()+1
+	ws.certDual = growF(ws.certDual, nRes)
+	ws.certVal = growF(ws.certVal, nRes)
+	ws.certErr = growF(ws.certErr, nRes)
+	certRefresh(in, alloc, ws, -1)
+	wsum, abs, x, pi := 0.0, 0.0, 0.0, 0.0
+	for j := 0; j < k; j++ {
+		a := math.Abs(ws.logW[j])
+		w := float64(k - j)
+		if j == 0 {
+			w = float64(k - 1)
+		}
+		wsum += w * a
+		abs += a
+		u0, u1 := ws.u0[j], ws.u1[j]
+		x += 2 * math.Max(u0.ps*u0.r/u0.w, u1.ps*u1.r/u1.w)
+		pi += math.Max(u0.ps, u1.ps)
+	}
+	return 2*wsum + float64(2*k+11)*x + 21*abs + 4*pi + 1
+}
+
+// certRefresh recomputes certDual, certVal and certErr at the prices in
+// fillLam: for every resource when i < 0, else for the common channel and
+// FBS i's band, the two a flip re-fills. D_r = λ_r + Σ_{m in r} bv_m(λ_r)
+// counts every member, including those with ps <= 0 or r <= 0, whose branch
+// value is their zero-share bl; V_r sums the members' objectiveCached terms.
+// Both are summed in user order. certErr[r] collects, in units of u, the
+// magnitudes of the two sums' partial sums (their summation error), each
+// term's evaluation error (branchErr, termErr) and (k+2)·λ_r, the price
+// times the overshoot by which a later re-fill's shares may exceed the unit
+// budget.
+func certRefresh(in *Instance, alloc *Allocation, ws *solveWorkspace, i int) {
+	k := in.K()
+	lam, dual, val, errs := ws.fillLam, ws.certDual, ws.certVal, ws.certErr
+	for r := range dual {
+		if i < 0 || r == 0 || r == i {
+			dual[r], val[r], errs[r] = lam[r], 0, float64(k+2)*lam[r]
+		}
+	}
+	for j := 0; j < k; j++ {
+		r, u, wr, bl, rho := 0, ws.u0[j], ws.wr0[j], ws.bl0[j], alloc.Rho0[j]
+		if !alloc.MBS[j] {
+			r, u, wr, bl, rho = in.FBS[j], ws.u1[j], ws.wr1[j], ws.bl1[j], alloc.Rho1[j]
+		}
+		if i >= 0 && r != 0 && r != i {
+			continue
+		}
+		lw := ws.logW[j]
+		bv, rhoL := u.branchAndRhoWR(lam[r], lw, wr, bl)
+		dual[r] += bv
+		val[r] += objectiveTerm(in, alloc, ws.logW, j)
+		errs[r] += math.Abs(dual[r]) + math.Abs(val[r]) +
+			branchErr(u, lw, rhoL, lam[r]) + termErr(u, lw, rho)
+	}
+}
+
+// termErr bounds, in units of u, the error of user j's objectiveCached term
+// at share rho against ℓ + ps·ln(1+gain/w): two-ulp logs, the rounding of
+// the log's argument and one rounding per operation.
+func termErr(u waterfillUser, logW, rho float64) float64 {
+	return 10*math.Abs(logW) + 6*u.ps*rho*u.r/u.w + 2*u.ps
+}
+
+// branchErr bounds, in units of u, the error of a branch value
+// branchAndRhoWR returned at price lambda with share rho against the exact
+// maximum of ℓ + ps·ln(1+ρr/w) − λρ over the share interval: termErr's
+// terms, the λρ product and the second-order loss of evaluating at the
+// rounded share instead of the exact maximizer.
+func branchErr(u waterfillUser, logW, rho, lambda float64) float64 {
+	return 11*math.Abs(logW) + 7*u.ps*rho*u.r/u.w + 3*u.ps + 2*lambda*rho
+}
+
+// certRejects reports whether a rejection certificate proves that flipping
+// user j would be rejected. With a the resource j leaves and b the one it
+// joins, weak duality at the current fill prices bounds the flip's gain by
+//
+//	Δ ≤ (D_a − bv_j^a(λ_a) − V_a) + (D_b + bv_j^b(λ_b) − V_b),
+//
+// since a resource's value under any feasible shares is at most
+// λ + Σ bv_m(λ) for every λ >= 0. The flip is certified when the bound plus
+// certUnit times its error bound is at most 1e-12; a NaN bound or margin
+// never certifies.
+func certRejects(in *Instance, alloc *Allocation, ws *solveWorkspace, j int, errObj float64) bool {
+	a, b := 0, in.FBS[j]
+	ua, ub := ws.u0[j], ws.u1[j]
+	wra, wrb := ws.wr0[j], ws.wr1[j]
+	bla, blb := ws.bl0[j], ws.bl1[j]
+	if !alloc.MBS[j] {
+		a, b = b, a
+		ua, ub = ub, ua
+		wra, wrb = wrb, wra
+		bla, blb = blb, bla
+	}
+	lw, lam := ws.logW[j], ws.fillLam
+	bvA, rhoA := ua.branchAndRhoWR(lam[a], lw, wra, bla)
+	bvB, rhoB := ub.branchAndRhoWR(lam[b], lw, wrb, blb)
+	dA := ws.certDual[a] - bvA
+	dB := ws.certDual[b] + bvB
+	vA, vB := ws.certVal[a], ws.certVal[b]
+	bound := (dA - vA) + (dB - vB)
+	e := errObj + ws.certErr[a] + ws.certErr[b] +
+		branchErr(ua, lw, rhoA, lam[a]) + branchErr(ub, lw, rhoB, lam[b]) +
+		3*(math.Abs(dA)+math.Abs(vA)+math.Abs(dB)+math.Abs(vB))
+	return bound+certUnit*e <= 1e-12
+}
+
 // fillResources water-fills the common channel among MBS users and each FBS
-// band among its users, given a fixed association in alloc.MBS.
+// band among its users, given a fixed association in alloc.MBS, and records
+// each resource's fill price in ws.fillLam.
 func fillResources(in *Instance, alloc *Allocation, ws *solveWorkspace) {
-	fillCommon(in, alloc, ws)
+	ws.fillLam = growF(ws.fillLam, in.N()+1)
+	ws.fillLam[0] = fillCommon(in, alloc, ws)
 	for i := 1; i <= in.N(); i++ {
-		fillFBS(in, alloc, i, ws)
+		ws.fillLam[i] = fillFBS(in, alloc, i, ws)
 	}
 }
 
@@ -543,8 +690,9 @@ func fillResources(in *Instance, alloc *Allocation, ws *solveWorkspace) {
 // the MBS, on workspace scratch. The effective users are gathered straight
 // into the flat waterfillColumns views, reusing the w/r quotients
 // prepareUsers hoisted; users filtered out here are exactly those the
-// scalar reference zeroed, so their shares are set to zero up front.
-func fillCommon(in *Instance, alloc *Allocation, ws *solveWorkspace) {
+// scalar reference zeroed, so their shares are set to zero up front. It
+// returns the fill's price.
+func fillCommon(in *Instance, alloc *Allocation, ws *solveWorkspace) float64 {
 	k := in.K()
 	idx := ws.wfIdx[:0]
 	ps := ws.wfPS[:0]
@@ -567,16 +715,17 @@ func fillCommon(in *Instance, alloc *Allocation, ws *solveWorkspace) {
 	ws.wfIdx, ws.wfPS, ws.wfWR, ws.wfCap = idx, ps, wr, caps
 	rho := growF(ws.wfRho, len(idx))
 	ws.wfRho = rho
-	waterfillColumns(rho, ps, wr, caps, 1)
+	lambda := waterfillColumns(rho, ps, wr, caps, 1)
 	for t, j := range idx {
 		alloc.Rho0[j] = rho[t]
 	}
+	return lambda
 }
 
 // fillFBS water-fills FBS i's licensed band among its associated users, on
 // workspace scratch, gathering the effective users into the flat
-// waterfillColumns views like fillCommon.
-func fillFBS(in *Instance, alloc *Allocation, i int, ws *solveWorkspace) {
+// waterfillColumns views like fillCommon, and returns the fill's price.
+func fillFBS(in *Instance, alloc *Allocation, i int, ws *solveWorkspace) float64 {
 	k := in.K()
 	idx := ws.wfIdx[:0]
 	ps := ws.wfPS[:0]
@@ -599,8 +748,9 @@ func fillFBS(in *Instance, alloc *Allocation, i int, ws *solveWorkspace) {
 	ws.wfIdx, ws.wfPS, ws.wfWR, ws.wfCap = idx, ps, wr, caps
 	rhoI := growF(ws.wfRho, len(idx))
 	ws.wfRho = rhoI
-	waterfillColumns(rhoI, ps, wr, caps, 1)
+	lambda := waterfillColumns(rhoI, ps, wr, caps, 1)
 	for t, j := range idx {
 		alloc.Rho1[j] = rhoI[t]
 	}
+	return lambda
 }

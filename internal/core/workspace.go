@@ -106,6 +106,14 @@ type solveWorkspace struct {
 	// polishRho0/polishRho1 snapshot an allocation's shares so a rejected
 	// association flip restores them instead of re-water-filling.
 	polishRho0, polishRho1 []float64
+
+	// Rejection-certificate state of the association polish, one entry per
+	// resource (0 = common channel, i = FBS i's band): fillLam is the price
+	// each resource's last water-fill returned (fillResources writes it),
+	// certDual the Lagrangian dual D_r at that price, certVal the
+	// resource's share of the objective and certErr the error bound of the
+	// two, in units of the unit roundoff (see polishAssociation).
+	fillLam, certDual, certVal, certErr []float64
 }
 
 // eqMemoEntry is one cached inner-bisection result, keyed by the raw float
@@ -488,22 +496,27 @@ func (a *Allocation) resize(k int) {
 func objectiveCached(in *Instance, a *Allocation, logW []float64) float64 {
 	total := 0.0
 	for j := 0; j < in.K(); j++ {
-		lw := logW[j]
-		var ps, gain float64
-		if a.MBS[j] {
-			ps = in.PS0[j]
-			gain = in.clampGain(j, a.Rho0[j]*in.R0[j])
-		} else {
-			ps = in.PS1[j]
-			gain = in.clampGain(j, a.Rho1[j]*in.effR1(j))
-		}
-		lwg := lw
-		if gain != 0 {
-			lwg = math.Log(in.W[j] + gain)
-		}
-		total += ps*lwg + (1-ps)*lw
+		total += objectiveTerm(in, a, logW, j)
 	}
 	return total
+}
+
+// objectiveTerm is user j's term of objectiveCached.
+func objectiveTerm(in *Instance, a *Allocation, logW []float64, j int) float64 {
+	lw := logW[j]
+	var ps, gain float64
+	if a.MBS[j] {
+		ps = in.PS0[j]
+		gain = in.clampGain(j, a.Rho0[j]*in.R0[j])
+	} else {
+		ps = in.PS1[j]
+		gain = in.clampGain(j, a.Rho1[j]*in.effR1(j))
+	}
+	lwg := lw
+	if gain != 0 {
+		lwg = math.Log(in.W[j] + gain)
+	}
+	return ps*lwg + (1-ps)*lw
 }
 
 // feasibleCached is Allocation.Feasible on workspace scratch: identical

@@ -27,20 +27,12 @@ type Params struct {
 	GOPs int
 	// BaseSeed: replication r of point p uses seed BaseSeed + r.
 	BaseSeed uint64
-	// Workers caps the number of concurrent simulation runs; 0 (or any
-	// non-positive value) uses runtime.GOMAXPROCS(0). Every run derives all
-	// randomness from its own seed, so results are bitwise-identical for
-	// any worker count.
-	//
-	// Deprecated: set Parallel.Workers instead. This field is consulted
-	// only when Parallel.Workers is exactly zero (unset), so existing
-	// callers keep working; any nonzero Parallel.Workers — including
-	// negative values meaning "use every CPU" — takes precedence.
-	Workers int
 	// Parallel bundles the parallel-execution knobs shared with
-	// sim.Options: Workers caps concurrent runs (same contract as the
-	// deprecated Workers field, which it supersedes) and Shards is
-	// forwarded to sharded simulations.
+	// sim.Options: Workers caps the number of concurrent simulation runs
+	// (0 or any non-positive value uses runtime.GOMAXPROCS(0)) and Shards is
+	// forwarded to sharded simulations. Every run derives all randomness
+	// from its own seed, so results are bitwise-identical for any worker
+	// count.
 	Parallel par.Parallelism
 	// Config is the scenario configuration; zero value means the paper's
 	// defaults.

@@ -6,17 +6,7 @@ import (
 )
 
 // workers resolves the effective worker count for this experiment.
-// Parallel.Workers always wins when set to anything nonzero — including
-// negative values, which EffectiveWorkers treats as "use every CPU" — and
-// the deprecated Params.Workers field is consulted only when Parallel is
-// left at its zero value. (A previous version let a positive deprecated
-// field override an explicitly negative Parallel.Workers.)
-func (p Params) workers() int {
-	if p.Parallel.Workers == 0 && p.Workers > 0 {
-		return p.Workers
-	}
-	return p.Parallel.EffectiveWorkers()
-}
+func (p Params) workers() int { return p.Parallel.EffectiveWorkers() }
 
 // runGrid executes n independent tasks over a pool of workers; see
 // par.RunGrid for the determinism contract (per-task slots, post-join

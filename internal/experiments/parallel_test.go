@@ -37,7 +37,7 @@ func TestParallelDeterminism(t *testing.T) {
 			var baseline string
 			for _, w := range workerCounts {
 				p := QuickParams()
-				p.Workers = w
+				p.Parallel.Workers = w
 				fig, err := d.run(p)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
@@ -56,32 +56,26 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkersPrecedence pins the resolution order of the two worker knobs:
-// any nonzero Parallel.Workers — including negative, meaning "use every
-// CPU" — beats the deprecated Params.Workers field, which is consulted only
-// when Parallel.Workers is exactly zero. The negative case is the historical
-// bug: the old `Parallel.Workers <= 0` guard let a positive deprecated field
-// override an explicit Parallel.Workers = -1.
+// TestWorkersPrecedence pins the worker-count resolution: a positive
+// Parallel.Workers is taken as given, and zero or a negative value means
+// "use every CPU".
 func TestWorkersPrecedence(t *testing.T) {
 	nCPU := runtime.GOMAXPROCS(0)
 	cases := []struct {
-		name               string
-		parallel, deprecat int
-		want               int
+		name     string
+		parallel int
+		want     int
 	}{
-		{"parallel wins over deprecated", 3, 7, 3},
-		{"deprecated honored when parallel unset", 0, 7, 7},
-		{"negative parallel beats deprecated", -1, 7, nCPU},
-		{"both unset falls back to CPUs", 0, 0, nCPU},
-		{"negative deprecated ignored", 0, -5, nCPU},
+		{"positive taken as given", 3, 3},
+		{"negative uses every CPU", -1, nCPU},
+		{"unset uses every CPU", 0, nCPU},
 	}
 	for _, c := range cases {
 		p := QuickParams()
 		p.Parallel.Workers = c.parallel
-		p.Workers = c.deprecat
 		if got := p.workers(); got != c.want {
-			t.Errorf("%s: workers() = %d, want %d (Parallel.Workers=%d, Workers=%d)",
-				c.name, got, c.want, c.parallel, c.deprecat)
+			t.Errorf("%s: workers() = %d, want %d (Parallel.Workers=%d)",
+				c.name, got, c.want, c.parallel)
 		}
 	}
 }
@@ -224,7 +218,7 @@ func TestRunGridReturnsLowestIndexError(t *testing.T) {
 // carries its sweep point and scheme context and unwraps to the cause.
 func TestSweepSurfacesPointContext(t *testing.T) {
 	p := QuickParams()
-	p.Workers = 4
+	p.Parallel.Workers = 4
 	xs := []float64{1, 2, 3}
 	fig, err := sweep(p, "failure injection", "x", xs,
 		func(p Params, x float64) (*netmodel.Network, error) {

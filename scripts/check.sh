@@ -42,7 +42,11 @@
 #
 # Opt-in extras:
 #   FEMTOCR_FUZZ=1  — also run short fuzz smoke passes (-fuzztime=10s) over
-#                     the core solver fuzz targets.
+#                     the core solver fuzz targets: the water-fill, the
+#                     greedy channel allocator and the association polish's
+#                     rejection certificates (FuzzPolishAssociation, the
+#                     differential oracle against the certificate-free
+#                     reference polish).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -110,6 +114,7 @@ if [ -n "${FEMTOCR_FUZZ:-}" ]; then
     echo "==> fuzz smoke (FEMTOCR_FUZZ set)"
     go test -run='^$' -fuzz='^FuzzWaterfill$' -fuzztime=10s ./internal/core
     go test -run='^$' -fuzz='^FuzzGreedyChannels$' -fuzztime=10s ./internal/core
+    go test -run='^$' -fuzz='^FuzzPolishAssociation$' -fuzztime=10s ./internal/core
 fi
 
 echo "check.sh: all gates passed"
